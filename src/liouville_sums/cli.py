@@ -51,6 +51,11 @@ EXIT_INDETERMINATE = 4
 
 REPORT_SCHEMA_VERSION = 1
 
+#: Keys that config files written by earlier versions hold but that select
+#: nothing any more; they are read and ignored.  fast_rotation chose between
+#: two aux grid evaluators, of which one is left.
+_RETIRED_KEYS = frozenset({"fast_rotation"})
+
 
 @dataclass
 class RunConfig:
@@ -88,8 +93,6 @@ class RunConfig:
     prime_limit: int = 1000000
     #: when > 0, product also reports the direct sum up to this X
     compare_sum: int = 0
-    #: use the phase-rotation fast path in aux scans
-    fast_rotation: bool = False
 
     def to_text(self) -> str:
         lines = [f"# liouville-sums config v{REPORT_SCHEMA_VERSION}"]
@@ -109,6 +112,8 @@ class RunConfig:
                 raise ValueError(f"{origin}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
+            if key in _RETIRED_KEYS:
+                continue
             if key not in known:
                 raise ValueError(f"{origin}:{lineno}: unknown key {key!r}")
             try:
@@ -206,14 +211,7 @@ def cmd_aux(cfg: RunConfig, trace: Optional[str], report: Optional[str]) -> int:
     poly = build_polynomial(table, cutoff, cfg.alpha)
     trace_fh = open(trace, "w", encoding="utf-8") if trace else None
     try:
-        result = scan_u(
-            poly,
-            cfg.u_from,
-            cfg.u_to,
-            cfg.u_step,
-            trace=trace_fh,
-            use_rotation=cfg.fast_rotation,
-        )
+        result = scan_u(poly, cfg.u_from, cfg.u_to, cfg.u_step, trace=trace_fh)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -317,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--u-to", dest="u_to", type=float)
     pa.add_argument("--step", dest="u_step", type=float)
     pa.add_argument("--trace", metavar="FILE", help="CSV trace of every grid point")
-    pa.add_argument("--fast-rotation", dest="fast_rotation", action="store_true", default=None)
     add_common(pa)
 
     pr = sub.add_parser("residues", help="print r0 and the first residues")

@@ -71,7 +71,7 @@ class SumState:
     """Compensated running sum of lambda(n)/n^alpha.
 
     Attributes:
-        alpha: exponent, >= 0
+        alpha: finite exponent, >= 0
         upto: last integer included (0 before any accumulation)
         value: primary accumulator
         comp: Neumaier compensation term; the best estimate of the sum
@@ -88,8 +88,8 @@ class SumState:
     abs_sum: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def total(self) -> float:
         """Best estimate of the accumulated sum."""
@@ -169,7 +169,7 @@ def evaluate(
 
     Args:
         X: upper summation limit, >= 1
-        alpha: exponent, >= 0
+        alpha: finite exponent, >= 0
         segment_size: sieve block size
 
     Returns:
@@ -395,7 +395,7 @@ def scan_sign(
 
     Args:
         x_lo, x_hi: inclusive scan range, 1 <= x_lo <= x_hi
-        alpha: exponent, >= 0
+        alpha: finite exponent, >= 0
         claimed_sign: the sign the sum is claimed to keep on the range
         segment_size: sieve block size
         trace_path: optional CSV trace; one row per trace_every integers,
@@ -592,10 +592,10 @@ def euler_product_value(alpha: float, prime_limit: int) -> tuple[float, float]:
         and since value < 1 also a bound on |value - limit|).
 
     Raises:
-        ValueError: if alpha <= 1 or prime_limit < 2.
+        ValueError: if alpha is not a finite number > 1, or prime_limit < 2.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"the product requires alpha > 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ValueError(f"the product requires a finite alpha > 1, got {alpha}")
     if prime_limit < 2:
         raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
     ps = primes_upto(prime_limit).astype(np.float64)

@@ -3,10 +3,12 @@ import io
 import math
 import random
 
-import numpy as np
 import pytest
 
+from liouville_sums import aux_poly
 from liouville_sums.aux_poly import (
+    _BLOCK,
+    _HEADS,
     AuxPolynomial,
     AuxTerm,
     build_polynomial,
@@ -19,6 +21,36 @@ from liouville_sums.zeros import ZeroTable, bundled_zero_table
 from liouville_sums.zeta import zeta_with_prime
 
 import oracles
+
+EPS = 2.0 ** -52
+
+
+def rounding_bound(poly, u):
+    """scan_u's documented error bound at u, less its residue part."""
+    n = len(poly.terms)
+    return EPS * (
+        abs(poly.r0)
+        + math.fsum(
+            2.0 * t.weight * abs(t.residue) * (3.0 * t.gamma * u + n + 5) for t in poly.terms
+        )
+    )
+
+
+def scanned_points(poly, u_lo, u_hi, step):
+    """The scan report and the (u, value) of every grid point, read from its trace."""
+    buf = io.StringIO()
+    rep = scan_u(poly, u_lo, u_hi, step, trace=buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert len(rows) == rep.n_points
+    return rep, [(float(u), float(v)) for u, _, v in rows]
+
+
+def assert_matches_evaluate_at(poly, points):
+    # Both evaluators use the same residues, so the residue part of the bound
+    # cancels; evaluate_at rounds less than scan_u, so twice the rest covers
+    # both.
+    for u, v in points:
+        assert abs(v - evaluate_at(poly, u)) <= 2.0 * rounding_bound(poly, u), u
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +199,10 @@ class TestEvaluateAt:
 class TestScanU:
     def test_constant_polynomial(self):
         poly = AuxPolynomial(alpha=0.5, cutoff=10.0, r0=-0.25, terms=())
-        rep = scan_u(poly, 0.0, 10.0, 0.5)
+        rep, points = scanned_points(poly, 0.0, 10.0, 0.5)
         assert rep.maximum.value == rep.minimum.value == -0.25
         assert rep.sign_changes == ()
+        assert len(points) == 21 and all(v == -0.25 for _, v in points)
 
     def test_single_point_when_step_exceeds_range(self, poly_half):
         rep = scan_u(poly_half, 1.0, 2.0, 5.0)
@@ -189,20 +222,28 @@ class TestScanU:
         rep = scan_u(poly_zero_alpha, 2.0, 4.0, 0.5)
         assert rep.maximum.x_equiv == pytest.approx(math.exp(rep.maximum.u))
 
-    def test_rotation_matches_direct_path(self, poly_half):
-        from liouville_sums.aux_poly import _grid_values_direct, _grid_values_rotation
+    @pytest.mark.parametrize(
+        "n_points",
+        [1, 2, _BLOCK - 1, _BLOCK + 1, _BLOCK * _HEADS - 1, _BLOCK * _HEADS + 1, 3 * _BLOCK * _HEADS + 7],
+    )
+    def test_grid_lengths_off_block_multiples(self, poly_half, n_points):
+        step = 0.07
+        rep, points = scanned_points(poly_half, 2.5, 2.5 + (n_points - 0.5) * step, step)
+        assert rep.n_points == n_points
+        assert_matches_evaluate_at(poly_half, points)
 
-        us = np.arange(0.0, 1000.0, 0.13)
-        direct = _grid_values_direct(poly_half, us)
-        rotated = _grid_values_rotation(poly_half, 0.0, 0.13, len(us))
-        assert float(np.abs(direct - rotated).max()) < 1e-10
+    def test_grid_crossing_chunk_boundaries(self, poly_half, monkeypatch):
+        whole = scan_u(poly_half, 0.0, 30.0, 0.01)
+        monkeypatch.setattr(aux_poly, "_CHUNK", 100)  # not a multiple of _BLOCK
+        rep, points = scanned_points(poly_half, 0.0, 30.0, 0.01)
+        assert_matches_evaluate_at(poly_half, points)
+        assert rep.sign_changes == whole.sign_changes
+        assert (rep.maximum.u, rep.minimum.u) == (whole.maximum.u, whole.minimum.u)
 
-    def test_rotation_scan_report_agrees(self, poly_half):
-        a = scan_u(poly_half, 0.0, 30.0, 0.01)
-        b = scan_u(poly_half, 0.0, 30.0, 0.01, use_rotation=True)
-        assert a.maximum.u == b.maximum.u
-        assert a.maximum.value == pytest.approx(b.maximum.value, abs=1e-10)
-        assert len(a.sign_changes) == len(b.sign_changes)
+    def test_long_range_matches_evaluate_at(self, poly_half):
+        rep, points = scanned_points(poly_half, 0.0, 1000.0, 0.13)
+        assert rep.n_points == 7693
+        assert_matches_evaluate_at(poly_half, points)
 
     def test_sign_changes_bracket_roots(self, poly_half):
         rep = scan_u(poly_half, 0.0, 30.0, 0.01)
@@ -224,12 +265,24 @@ class TestScanU:
     def test_grid_cap(self, poly_half):
         with pytest.raises(ValueError, match="cap"):
             scan_u(poly_half, 0.0, 1e9, 1e-10)
+        with pytest.raises(ValueError, match="cap"):
+            scan_u(poly_half, 0.0, 1e300, 1e-300)  # point count overflows to inf
 
     def test_invalid_args(self, poly_half):
         with pytest.raises(ValueError):
             scan_u(poly_half, 5.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             scan_u(poly_half, 0.0, 1.0, 0.0)
+        for u_lo, u_hi, step in [
+            (0.0, math.inf, 0.1),
+            (math.nan, 1.0, 0.1),
+            (0.0, math.nan, 0.1),
+            (0.0, 1.0, math.inf),
+            (0.0, 1.0, math.nan),
+            (-5.0, 1.0, 0.1),
+        ]:
+            with pytest.raises(ValueError):
+                scan_u(poly_half, u_lo, u_hi, step)
 
 
 class TestAlphaHalfSummandStructure:

@@ -74,6 +74,14 @@ class TestVerifyCommand:
         assert rc == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_rejected(self, alpha, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = main(["verify", "--alpha", alpha, "--to", "10", "--report", str(report)])
+        assert rc == EXIT_RUNTIME
+        assert "error:" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestAuxCommand:
     def test_bundled_scan(self, tmp_path, capsys):
@@ -107,6 +115,12 @@ class TestAuxCommand:
         rc = main(["aux", "--alpha", "0.5", "--cutoff", "-3"])
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("bounds", [["--u-to", "inf"], ["--u-from", "-5", "--u-to", "1"]])
+    def test_bad_u_range_rejected(self, bounds, capsys):
+        rc = main(["aux", "--alpha", "0.5", *bounds])
+        assert rc == EXIT_RUNTIME
+        assert "error:" in capsys.readouterr().err
+
 
 class TestResiduesCommand:
     def test_prints_r0_and_residues(self, capsys):
@@ -135,10 +149,18 @@ class TestProductCommand:
         rc = main(["product", "--alpha", "1", "--prime-limit", "100"])
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_rejected(self, alpha, capsys):
+        rc = main(["product", "--alpha", alpha, "--prime-limit", "100"])
+        assert rc == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "value =" not in captured.out
+
 
 class TestRunConfig:
     def test_round_trip_lossless(self):
-        cfg = RunConfig(alpha=0.123456789012345, x_from=7, sign="nonnegative", fast_rotation=True)
+        cfg = RunConfig(alpha=0.123456789012345, x_from=7, sign="nonnegative")
         again = RunConfig.from_text(cfg.to_text())
         assert again == cfg
 
@@ -151,6 +173,18 @@ class TestRunConfig:
         assert RunConfig.from_text(cfg.to_text()).cutoff is None
         cfg = RunConfig(cutoff=123.5)
         assert RunConfig.from_text(cfg.to_text()).cutoff == 123.5
+
+    def test_earlier_config_format_loads(self):
+        # written by --write-config before aux lost its fast_rotation option
+        text = (
+            "# liouville-sums config v1\n"
+            "alpha=0.5\nx_from=1\nx_to=1000\nsign='nonpositive'\n"
+            "segment_size=1048576\ntrace_every=10000\ncheckpoint_every=100000000\n"
+            "zeros_path=''\ncutoff=None\nu_from=0.0\nu_to=100.0\nu_step=0.01\n"
+            "count=10\nprime_limit=1000000\ncompare_sum=0\nfast_rotation=False\n"
+        )
+        assert RunConfig.from_text(text) == RunConfig()
+        assert RunConfig.from_text("fast_rotation=True\nalpha=0.25\n") == RunConfig(alpha=0.25)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):

@@ -179,6 +179,13 @@ class TestScanSign:
         with pytest.raises(ValueError):
             scan_sign(0, 5, 0.5, Sign.NONPOSITIVE)
 
+    @pytest.mark.parametrize("alpha", [-0.5, math.inf, math.nan])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            SumState(alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            scan_sign(1, 10, alpha, Sign.NONPOSITIVE)
+
     def test_trace_rows(self, tmp_path):
         trace = tmp_path / "trace.csv"
         scan_sign(
@@ -270,6 +277,9 @@ class TestEulerProduct:
             euler_product_value(0.5, 100)
         with pytest.raises(ValueError):
             euler_product_value(2.0, 1)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                euler_product_value(alpha, 100)
 
     def test_consistent_with_direct_sum(self):
         # product and sum approach the same limit (alpha = 2 and 3)
