@@ -27,7 +27,7 @@ from .liouville import (
     lambda_at,
     primes_upto,
     sieve_segment,
-    stream_lambda,
+    stream_lambda_range,
 )
 from .partial_sum import (
     Sign,
@@ -70,7 +70,7 @@ __all__ = [
     "scan_sign",
     "scan_u",
     "sieve_segment",
-    "stream_lambda",
+    "stream_lambda_range",
     "validate_zero",
     "zeta",
     "zeta_prime",

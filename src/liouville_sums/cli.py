@@ -242,6 +242,8 @@ def cmd_aux(cfg: RunConfig, trace: Optional[str], report: Optional[str]) -> int:
 
 def cmd_residues(cfg: RunConfig, report: Optional[str]) -> int:
     """Print r0 and the first residues with error estimates."""
+    if cfg.count < 1:
+        raise ValueError(f"residue count must be >= 1, got {cfg.count}")
     table = _load_table(cfg)
     if cfg.count > len(table):
         raise ValueError(

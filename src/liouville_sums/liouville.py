@@ -9,8 +9,8 @@ Provides:
   independent of the sieve, so it doubles as the correctness oracle.
 - sieve_segment(lo, hi): exact lambda on a contiguous window via a
   residual-division segmented sieve.
-- stream_lambda(limit, segment_size): consecutive sieved blocks covering
-  [1, limit], with base primes computed once and reused.
+- stream_lambda_range(lo, hi, segment_size): consecutive sieved blocks
+  covering [lo, hi], with base primes computed once and reused.
 
 Base-prime tables are immutable numpy arrays and may be shared freely;
 disjoint segments can be sieved concurrently.  Anything that needs ordered
@@ -179,37 +179,29 @@ def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) ->
     return LambdaBlock(lo=lo, values=values)
 
 
-def stream_lambda(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[LambdaBlock]:
-    """Yield consecutive non-overlapping blocks of lambda covering [1, limit].
-
-    Base primes up to sqrt(limit) are computed once and reused per segment.
-
-    Args:
-        limit: last integer to cover, >= 1
-        segment_size: entries per block, >= 1
-
-    Yields:
-        LambdaBlock instances covering [1, segment_size], [segment_size+1, ...]
-        and so on, in order.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    yield from stream_lambda_range(1, limit, segment_size)
-
-
 def stream_lambda_range(
     lo: int,
     hi: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    base_primes: Optional[np.ndarray] = None,
 ) -> Iterator[LambdaBlock]:
-    """Yield consecutive blocks covering [lo, hi]; used for resumed scans."""
+    """Yield consecutive non-overlapping blocks of lambda covering [lo, hi].
+
+    Base primes up to sqrt(hi) are computed once and reused per segment.
+
+    Args:
+        lo: first integer to cover, >= 1
+        hi: last integer to cover, >= lo
+        segment_size: entries per block, >= 1
+
+    Yields:
+        LambdaBlock instances covering [lo, lo + segment_size - 1],
+        [lo + segment_size, ...] and so on up to hi, in order.
+    """
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if lo < 1 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    if base_primes is None:
-        base_primes = primes_upto(math.isqrt(hi))
+    base_primes = primes_upto(math.isqrt(hi))
     start = lo
     while start <= hi:
         end = min(start + segment_size - 1, hi)

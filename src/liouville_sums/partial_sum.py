@@ -6,7 +6,9 @@ a value is only called positive or negative when it clears the error bound.
 
 Summation scheme: terms are summed exactly within each block (math.fsum,
 which returns the correctly rounded sum of its inputs) and blocks are chained
-with a Neumaier-compensated carry.  The tracked bound covers
+with a Neumaier-compensated carry.  For alpha = 0 the terms are the int8
+values of lambda themselves and each block sum is an int64 sum, with no
+float terms and no fsum.  The tracked bound covers
 
   (a) per-term representation error of lambda(n)/n^alpha in binary64,
   (b) the final rounding of each block sum (<= 1 eps of the block magnitude),
@@ -17,16 +19,19 @@ where K(alpha) bounds the per-term relative error in eps units (see
 _term_error_constant).  For alpha = 0 every quantity is an integer below
 2^53, all arithmetic is exact, and the bound stays 0.
 
-Sign scanning evaluates the running sum at every integer X in a range using
-vectorized per-block prefix sums; within a block the per-X error bound uses
-the standard worst case for sequential summation, which is far looser than
-the carried Neumaier bound but still many orders below the observed values.
-Candidate violations found by the scan are reconfirmed with the tight
-accumulator before being reported.
+Sign scanning makes one pass per block: it computes the block's terms once,
+evaluates the running sum at every integer X in the block from their prefix
+sums, and folds the same terms into the carried state.  Within a block the
+per-X error bound uses the standard worst case for sequential summation,
+which is far looser than the carried Neumaier bound but still many orders
+below the observed values.  The first violation found by the scan is
+confirmed with the tight accumulator, resumed from the state carried at the
+start of its block.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -36,13 +41,7 @@ from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-from .liouville import (
-    DEFAULT_SEGMENT_SIZE,
-    LambdaBlock,
-    primes_upto,
-    stream_lambda,
-    stream_lambda_range,
-)
+from .liouville import DEFAULT_SEGMENT_SIZE, LambdaBlock, primes_upto, stream_lambda_range
 
 #: binary64 machine epsilon (2^-52); unit roundoff is EPS/2.
 EPS = float(np.finfo(np.float64).eps)
@@ -97,9 +96,7 @@ class SumState:
 
 
 def _pow_terms(lo: int, hi: int, alpha: float) -> np.ndarray:
-    """Vector of 1/n^alpha for n in [lo, hi], with specialized fast paths."""
-    if alpha == 0.0:
-        return np.ones(hi - lo + 1, dtype=np.float64)
+    """Vector of 1/n^alpha for n in [lo, hi], alpha > 0, with specialized fast paths."""
     n = np.arange(lo, hi + 1, dtype=np.float64)
     if alpha == 0.5:
         return 1.0 / np.sqrt(n)
@@ -122,12 +119,49 @@ def _term_error_constant(alpha: float, n_hi: int) -> float:
     return 2.0 + 2.0 * alpha * max(1.0, math.log(n_hi))
 
 
+def _block_terms(block: LambdaBlock, alpha: float) -> np.ndarray:
+    """lambda(n)/n^alpha over the block: the int8 values themselves at alpha = 0."""
+    if alpha == 0.0:
+        return block.values
+    return block.values * _pow_terms(block.lo, block.hi, alpha)
+
+
+def _fold(state: SumState, terms: np.ndarray) -> SumState:
+    """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
+
+    At alpha = 0 the terms are int8 and their sum is taken in int64, so no
+    float array or fsum is involved; the result equals the fsum of the same
+    values because every quantity is an integer below 2^53.  Mutates and
+    returns state.
+    """
+    hi = state.upto + len(terms)
+    if state.alpha == 0.0:
+        block_sum = float(np.sum(terms, dtype=np.int64))
+        block_abs = len(terms)
+    else:
+        block_sum = math.fsum(terms.tolist())
+        block_abs = float(np.sum(np.abs(terms)))
+        k = _term_error_constant(state.alpha, hi)
+        state.err_bound += EPS * (k + 4.0) * block_abs
+
+    # Neumaier-compensated addition of the block sum.
+    t = state.value + block_sum
+    if abs(state.value) >= abs(block_sum):
+        state.comp += (state.value - t) + block_sum
+    else:
+        state.comp += (block_sum - t) + state.value
+    state.value = t
+    state.abs_sum += block_abs
+    state.upto = hi
+    return state
+
+
 def accumulate(state: SumState, block: LambdaBlock) -> SumState:
     """Add lambda(n)/n^alpha for every n in the block to the running sum.
 
-    The block sum is formed with math.fsum (correctly rounded) and folded
-    into the state with a Neumaier-compensated addition; err_bound and
-    abs_sum advance per the module's documented bound.
+    The block sum is exact at alpha = 0 and correctly rounded (math.fsum)
+    otherwise, and is folded into the state with a Neumaier-compensated
+    addition; err_bound and abs_sum advance per the module's documented bound.
 
     Args:
         state: running sum; mutated in place and returned.
@@ -140,24 +174,7 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
         raise ValueError(
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
-    terms = block.values * _pow_terms(block.lo, block.hi, state.alpha)
-    block_sum = math.fsum(terms.tolist())
-    block_abs = float(np.sum(np.abs(terms)))
-
-    # Neumaier-compensated addition of the block sum.
-    t = state.value + block_sum
-    if abs(state.value) >= abs(block_sum):
-        state.comp += (state.value - t) + block_sum
-    else:
-        state.comp += (block_sum - t) + state.value
-    state.value = t
-
-    if state.alpha != 0.0:
-        k = _term_error_constant(state.alpha, block.hi)
-        state.err_bound += EPS * (k + 4.0) * block_abs
-    state.abs_sum += block_abs
-    state.upto = block.hi
-    return state
+    return _fold(state, _block_terms(block, state.alpha))
 
 
 def evaluate(
@@ -178,7 +195,7 @@ def evaluate(
     if X < 1:
         raise ValueError(f"X must be >= 1, got {X}")
     state = SumState(alpha=alpha)
-    for block in stream_lambda(X, segment_size):
+    for block in stream_lambda_range(1, X, segment_size):
         accumulate(state, block)
     return state.total(), state.err_bound
 
@@ -257,7 +274,7 @@ class _TraceWriter:
     def __init__(self, fh: TextIO, alpha: float, every: int, write_header: bool = True):
         self.fh = fh
         self.alpha = alpha
-        self.every = max(1, every)
+        self.every = every
         if write_header:
             fh.write(TRACE_HEADER + "\n")
 
@@ -389,9 +406,13 @@ def scan_sign(
     """Classify the running sum at every integer X in [x_lo, x_hi].
 
     The sum always starts at n = 1; integers below x_lo are accumulated but
-    not classified.  A candidate first violation found by the vectorized
-    block path is reconfirmed with the tight compensated accumulator before
-    being reported (skipped for alpha = 0, where arithmetic is exact).
+    not classified.  Each block is sieved and its terms computed once; at
+    alpha = 0 they stay integers.  The first violation is confirmed with the
+    tight compensated accumulator, resumed from the state carried at the
+    start of its block, before the scan moves on (skipped for alpha = 0,
+    where arithmetic is exact).  Resumed scans keep the same block
+    boundaries, because the checkpoint pins segment_size, so the confirmed
+    value is the one evaluate(X, alpha, segment_size) returns.
 
     Args:
         x_lo, x_hi: inclusive scan range, 1 <= x_lo <= x_hi
@@ -400,16 +421,27 @@ def scan_sign(
         segment_size: sieve block size
         trace_path: optional CSV trace; one row per trace_every integers,
             plus every violating or indeterminate X
+        trace_every: trace sampling stride, >= 1
         checkpoint_path: optional JSON checkpoint rewritten every
             checkpoint_every integers; an existing compatible checkpoint is
             resumed from
+        checkpoint_every: checkpoint interval, >= 1
         progress: optional callback invoked with the last integer processed
 
     Returns:
         SignReport for the scanned range.
+
+    Raises:
+        ValueError: on an invalid range, alpha or stride.
+        RuntimeError: if the tight accumulator cannot confirm the first
+            violation flagged by the per-X bound.
     """
     if not (1 <= x_lo <= x_hi):
         raise ValueError(f"invalid scan range [{x_lo}, {x_hi}]")
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     state = SumState(alpha=alpha)
     tally = _ScanTally()
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -432,22 +464,21 @@ def scan_sign(
             trace_fh = open(trace_path, "a" if resuming else "w", encoding="utf-8")
             tracer = _TraceWriter(trace_fh, alpha, trace_every, write_header=not resuming)
 
-        base_primes = primes_upto(math.isqrt(x_hi))
         blocks = (
-            stream_lambda_range(state.upto + 1, x_hi, segment_size, base_primes)
+            stream_lambda_range(state.upto + 1, x_hi, segment_size)
             if state.upto < x_hi
             else iter(())
         )
         for block in blocks:
             carry = state.total()
             carry_err = state.err_bound
+            terms = _block_terms(block, alpha)
 
             if exact:
-                prefix = np.cumsum(block.values, dtype=np.int64)
+                prefix = np.cumsum(terms, dtype=np.int64)
                 values = carry + prefix  # carry is an exact small integer
                 errs = np.zeros(len(values), dtype=np.float64)
             else:
-                terms = block.values * _pow_terms(block.lo, block.hi, alpha)
                 prefix = np.cumsum(terms)
                 values = carry + prefix
                 abs_prefix = np.cumsum(np.abs(terms))
@@ -465,7 +496,10 @@ def scan_sign(
 
                 n_viol = int(np.count_nonzero(violating))
                 if n_viol and tally.first_violation is None:
-                    tally.first_violation = xs0 + int(np.argmax(violating))
+                    i = start_i + int(np.argmax(violating))
+                    tally.first_violation = block.lo + i
+                    if not exact:
+                        _confirm_in_block(state, terms[: i + 1], claimed_sign)
                 tally.violations += n_viol
                 tally.indeterminate += int(np.count_nonzero(indeterminate))
 
@@ -483,7 +517,7 @@ def scan_sign(
                         tracer, xs0, v, e, violating, indeterminate, x_lo, x_hi
                     )
 
-            accumulate(state, block)
+            _fold(state, terms)
             if progress is not None:
                 progress(state.upto)
             if checkpoint_path and state.upto >= next_checkpoint and state.upto < x_hi:
@@ -501,9 +535,6 @@ def scan_sign(
     finally:
         if trace_fh is not None:
             trace_fh.close()
-
-    if tally.first_violation is not None and not exact:
-        _confirm_violation(tally.first_violation, alpha, claimed_sign, segment_size)
 
     return SignReport(
         alpha=alpha,
@@ -552,13 +583,17 @@ def _emit_trace_rows(
         tracer.row(xs0 + i, float(values[i]), float(errs[i]), cls)
 
 
-def _confirm_violation(x: int, alpha: float, claimed: Sign, segment_size: int) -> None:
-    """Recompute the first violation with the tight accumulator.
+def _confirm_in_block(start: SumState, terms: np.ndarray, claimed: Sign) -> None:
+    """Confirm a violation at X = start.upto + len(terms) with the tight accumulator.
 
-    The scan's per-X bound is deliberately loose; this guards against the
-    (never observed) case of a violation flagged purely by bound slack.
+    start is the state carried at the start of the violation's block and terms
+    run from that block's first integer to X, so the fold into a copy does the
+    arithmetic of evaluate(X, alpha, segment_size).  The scan's per-X bound is
+    deliberately loose; this guards against the (never observed) case of a
+    violation flagged purely by bound slack.
     """
-    value, err = evaluate(x, alpha, segment_size)
+    check = _fold(dataclasses.replace(start), terms)
+    x, value, err = check.upto, check.total(), check.err_bound
     if claimed is Sign.NONPOSITIVE:
         confirmed = value - err > 0.0
     else:

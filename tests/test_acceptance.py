@@ -23,7 +23,7 @@ from liouville_sums.aux_poly import (
     scan_u,
 )
 from liouville_sums.cli import EXIT_OK, main
-from liouville_sums.liouville import lambda_at, sieve_segment, stream_lambda
+from liouville_sums.liouville import lambda_at, sieve_segment, stream_lambda_range
 from liouville_sums.partial_sum import (
     Sign,
     SumState,
@@ -272,7 +272,7 @@ class TestCriterion9PropertySuites:
     def test_sieve_oracle_agreement(self, acceptance_log):
         mismatches = 0
         pos = 0
-        for block in stream_lambda(10 ** 6, 10 ** 5):
+        for block in stream_lambda_range(1, 10 ** 6, 10 ** 5):
             for value in block.values.tolist():
                 pos += 1
                 if value != lambda_at(pos):

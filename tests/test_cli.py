@@ -82,6 +82,13 @@ class TestVerifyCommand:
         assert "error:" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint-every", "--trace-every"])
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_bad_stride_rejected(self, flag, stride, capsys):
+        rc = main(["verify", "--alpha", "0.5", "--to", "10", flag, stride])
+        assert rc == EXIT_RUNTIME
+        assert f"error: {flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+
 
 class TestAuxCommand:
     def test_bundled_scan(self, tmp_path, capsys):
@@ -137,6 +144,14 @@ class TestResiduesCommand:
     def test_count_exceeding_table(self, capsys):
         rc = main(["residues", "--alpha", "0.5", "--count", "10000"])
         assert rc == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_rejected(self, count, capsys):
+        rc = main(["residues", "--alpha", "0.5", "--count", count])
+        assert rc == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "error: residue count must be >= 1" in captured.err
+        assert "r0 =" not in captured.out
 
 
 class TestProductCommand:

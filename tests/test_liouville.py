@@ -10,7 +10,7 @@ from liouville_sums.liouville import (
     lambda_at,
     primes_upto,
     sieve_segment,
-    stream_lambda,
+    stream_lambda_range,
 )
 
 
@@ -107,16 +107,16 @@ class TestLambdaBlock:
 
 class TestStreamLambda:
     def test_partition_10_by_4(self):
-        blocks = list(stream_lambda(10, 4))
+        blocks = list(stream_lambda_range(1, 10, 4))
         assert [(b.lo, b.hi) for b in blocks] == [(1, 4), (5, 8), (9, 10)]
 
     def test_single_block(self):
-        blocks = list(stream_lambda(1, 100))
+        blocks = list(stream_lambda_range(1, 1, 100))
         assert len(blocks) == 1
         assert blocks[0].values.tolist() == [1]
 
     def test_concatenation_matches_oracle(self):
-        merged = np.concatenate([b.values for b in stream_lambda(10 ** 6, 10 ** 5)])
+        merged = np.concatenate([b.values for b in stream_lambda_range(1, 10 ** 6, 10 ** 5)])
         assert len(merged) == 10 ** 6
         spot = np.random.default_rng(7).integers(1, 10 ** 6 + 1, size=300)
         for n in spot:
@@ -125,11 +125,11 @@ class TestStreamLambda:
     @given(st.integers(1, 400), st.integers(1, 64))
     @settings(max_examples=30)
     def test_partitioning_invariance(self, limit, seg):
-        merged = np.concatenate([b.values for b in stream_lambda(limit, seg)])
+        merged = np.concatenate([b.values for b in stream_lambda_range(1, limit, seg)])
         assert np.array_equal(merged, sieve_segment(1, limit).values)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            list(stream_lambda(0, 4))
+            list(stream_lambda_range(1, 0, 4))
         with pytest.raises(ValueError):
-            list(stream_lambda(10, 0))
+            list(stream_lambda_range(1, 10, 0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_sums import liouville, partial_sum
 from liouville_sums.liouville import LambdaBlock, sieve_segment
 from liouville_sums.partial_sum import (
     EPS,
@@ -167,17 +168,75 @@ class TestScanSign:
     def test_scan_matches_per_x_evaluate(self):
         rep = scan_sign(90, 110, 1.0, Sign.NONNEGATIVE)
         assert rep.checked == 21
-        for x in (90, 100, 110):
+        for x in range(90, 111):
             v, e = evaluate(x, 1.0)
-            if v - e >= 0:
-                pass  # conforming, consistent with a clean report
+            assert v - e >= 0, f"X={x}: the tight value does not clear its bound"
         assert rep.violations == 0
+        assert rep.indeterminate == 0
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             scan_sign(10, 5, 0.5, Sign.NONPOSITIVE)
         with pytest.raises(ValueError):
             scan_sign(0, 5, 0.5, Sign.NONPOSITIVE)
+
+    @pytest.mark.parametrize(
+        "name, stride",
+        [("checkpoint_every", 0), ("checkpoint_every", -5), ("trace_every", 0), ("trace_every", -3)],
+    )
+    def test_rejects_bad_strides(self, name, stride, tmp_path):
+        with pytest.raises(ValueError, match=name):
+            scan_sign(1, 10, 0.5, Sign.NONPOSITIVE, **{name: stride})
+        with pytest.raises(ValueError, match=name):
+            scan_sign(
+                1,
+                10,
+                0.5,
+                Sign.NONPOSITIVE,
+                trace_path=str(tmp_path / "t.csv"),
+                checkpoint_path=str(tmp_path / "cp.json"),
+                **{name: stride},
+            )
+        assert not (tmp_path / "cp.json").exists()
+
+    def test_violating_scan_sieves_once(self, monkeypatch):
+        sieved = []
+        real = liouville.sieve_segment
+
+        def counting(lo, hi, base_primes=None):
+            sieved.append(hi - lo + 1)
+            return real(lo, hi, base_primes)
+
+        monkeypatch.setattr(liouville, "sieve_segment", counting)
+        rep = scan_sign(
+            100_000, 400_000, 1.0, Sign.NONPOSITIVE, segment_size=2 ** 14
+        )
+        assert rep.first_violation == 100_000
+        # confirming the violation reuses the carried state: no rescan of [1, X]
+        assert sum(sieved) == 400_000
+
+    @pytest.mark.parametrize(
+        "alpha, claimed",
+        [(0.25, Sign.NONPOSITIVE), (0.5, Sign.NONPOSITIVE), (1.0, Sign.NONNEGATIVE)],
+    )
+    def test_unconfirmed_violation_raises(self, alpha, claimed, monkeypatch):
+        # flag one conforming X (the sixth classified) as violating
+        real = partial_sum._classify_arrays
+
+        def flag_sixth(values, errs, claimed):
+            violating, indeterminate = real(values, errs, claimed)
+            violating[5] = True
+            return violating, indeterminate
+
+        monkeypatch.setattr(partial_sum, "_classify_arrays", flag_sixth)
+        x, seg = 1005, 2 ** 9
+        # the guard recomputes X from the state carried at its block start,
+        # with the arithmetic of evaluate(X) at the same segment size
+        value, err = evaluate(x, alpha, seg)
+        with pytest.raises(RuntimeError, match="cannot confirm") as exc:
+            scan_sign(1000, 5000, alpha, claimed, segment_size=seg)
+        assert f"X={x} " in str(exc.value)
+        assert f"(value={value!r}, err_bound={err!r})" in str(exc.value)
 
     @pytest.mark.parametrize("alpha", [-0.5, math.inf, math.nan])
     def test_rejects_bad_alpha(self, alpha):
@@ -211,32 +270,35 @@ class TestScanSign:
                 assert cls == "conforming"
 
     def test_checkpoint_resume_identical(self, tmp_path):
-        cp = tmp_path / "cp.json"
-        full = scan_sign(1, 120_000, 0.5, Sign.NONPOSITIVE, segment_size=2 ** 14)
-        partial = scan_sign(
-            1,
-            120_000,
-            0.5,
-            Sign.NONPOSITIVE,
-            segment_size=2 ** 14,
-            checkpoint_path=str(cp),
-            checkpoint_every=50_000,
-        )
-        assert cp.exists()  # left behind from a mid-scan write
-        resumed = scan_sign(
-            1,
-            120_000,
-            0.5,
-            Sign.NONPOSITIVE,
-            segment_size=2 ** 14,
-            checkpoint_path=str(cp),
-            checkpoint_every=50_000,
-        )
-        assert partial == full
-        # resuming from the final checkpoint re-derives the same tallies for
-        # the already-scanned prefix plus nothing new
-        assert resumed.violations == full.violations
-        assert resumed.indeterminate == full.indeterminate
+        # a clean scan and a violating one (alpha = 1 is positive throughout)
+        for alpha in (0.5, 1.0):
+            cp = tmp_path / f"cp-{alpha}.json"
+            full = scan_sign(1, 120_000, alpha, Sign.NONPOSITIVE, segment_size=2 ** 14)
+            partial = scan_sign(
+                1,
+                120_000,
+                alpha,
+                Sign.NONPOSITIVE,
+                segment_size=2 ** 14,
+                checkpoint_path=str(cp),
+                checkpoint_every=50_000,
+            )
+            assert cp.exists()  # left behind from a mid-scan write
+            resumed = scan_sign(
+                1,
+                120_000,
+                alpha,
+                Sign.NONPOSITIVE,
+                segment_size=2 ** 14,
+                checkpoint_path=str(cp),
+                checkpoint_every=50_000,
+            )
+            assert partial == full
+            # resuming from the final checkpoint re-derives the same tallies for
+            # the already-scanned prefix plus nothing new
+            assert resumed.violations == full.violations
+            assert resumed.indeterminate == full.indeterminate
+            assert resumed.first_violation == full.first_violation
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"
