@@ -273,6 +273,10 @@ def cmd_residues(cfg: RunConfig, report: Optional[str]) -> int:
 
 def cmd_product(cfg: RunConfig) -> int:
     """Evaluate the Euler product, optionally against the direct sum."""
+    if cfg.compare_sum < 0:
+        raise ValueError(
+            f"compare-sum must be >= 1, or 0 to skip the comparison; got {cfg.compare_sum}"
+        )
     value, tail = euler_product_value(cfg.alpha, cfg.prime_limit)
     print(f"product over primes <= {cfg.prime_limit} at alpha={cfg.alpha}:")
     print(f"  value = {value!r}")

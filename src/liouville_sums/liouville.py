@@ -8,9 +8,35 @@ Provides:
 - lambda_at(n): pointwise value by full trial division.  Slow but entirely
   independent of the sieve, so it doubles as the correctness oracle.
 - sieve_segment(lo, hi): exact lambda on a contiguous window via a
-  residual-division segmented sieve.
+  weighted-add segmented sieve with one int16 accumulator.
 - stream_lambda_range(lo, hi, segment_size): consecutive sieved blocks
   covering [lo, hi], with base primes computed once and reused.
+
+Why the sieve is exact.  Let r = isqrt(hi) and S = _LOG_SCALE = 64.  Each
+prime p <= r has the odd weight w_p = 2*c_p + 1 with c_p = floor(S*log2 p),
+and each power p^k <= hi adds w_p to its multiples, so for n in [lo, hi]
+
+    acc(n) = sum_{p <= r} v_p(n) * w_p = 2*A(n) + (Omega_small(n) mod 2)
+
+with A(n) = sum v_p(n)*c_p, where Omega_small counts the prime factors
+<= r with multiplicity.  Write n = m*q with m the r-smooth part.  Since
+n <= hi < (r + 1)^2, q is 1 or a single prime > r, so
+lambda(n) = (-1)^(Omega_small(n) + [q > 1]).  With k = floor(log2 n) and
+S*log2 p - 1 < c_p <= S*log2 p:
+
+- q = 1: A(n) >= S*log2 n - Omega(n) >= (S - 1)*log2 n >= (S - 1)*k,
+  because Omega(n) <= log2 n.
+- q > 1: A(n) <= S*log2 m = S*(log2 n - log2 q) < S*(k + 1) - S*L with
+  L = log2(r + 1) > k/2.  For r >= 2, L >= log2 3 >= S/(S - 2), so
+  S*L >= S + 2L > S + k and A(n) < (S - 1)*k.  For r = 1 (hi <= 3) there
+  are no base primes: A(n) = 0 < (S - 1)*k for n in {2, 3}, and n = 1 has
+  q = 1.
+
+So q > 1 exactly when A(n) < (S - 1)*k, i.e. acc(n) < 2*(S - 1)*k, one
+integer threshold per dyadic slice [2^k, 2^(k+1)) of the window; no
+per-element logarithm is taken.  Headroom: acc(n) <= sum v_p(n)*(2*S*log2 p
++ 1) <= (2*S + 1)*log2 n = 129*log2 n < 8256 for n < 2^64, below the int16
+maximum 32767, and the largest threshold 2*63*63 = 7938 fits as well.
 
 Base-prime tables are immutable numpy arrays and may be shared freely;
 disjoint segments can be sieved concurrently.  Anything that needs ordered
@@ -20,6 +46,7 @@ results (running sums in particular) must consume blocks in order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,6 +62,15 @@ MAX_SEGMENT_SIZE = 1 << 25
 # 32-bit integer outright; larger n fall back to odd trial division.
 _SMALL_PRIME_LIMIT = 65536
 _small_primes_cache: Optional[np.ndarray] = None
+
+#: Scale S of the sieve's fixed-point logarithms: a prime p weighs
+#: 2*floor(S*log2 p) + 1.
+_LOG_SCALE = 64
+
+#: Wheel prime powers laid down from one periodic table, and its period.
+_WHEEL = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1))
+_WHEEL_PERIOD = 2 ** 4 * 3 ** 2 * 5 * 7 * 11
+_wheel_table_cache: Optional[np.ndarray] = None
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -126,13 +162,41 @@ def lambda_at(n: int) -> int:
     return 1 if omega % 2 == 0 else -1
 
 
-def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) -> LambdaBlock:
-    """Exact lambda(n) for every n in [lo, hi] via residual division.
+def _log_weight(p: int) -> int:
+    """Sieve weight 2*floor(S*log2 p) + 1 of the prime p, computed exactly.
 
-    Every base prime p <= sqrt(hi) is divided out of each residual with full
-    multiplicity (one pass per prime power), flipping a parity bit per factor.
-    A residual that remains > 1 afterwards is a single prime > sqrt(hi) and
-    contributes exactly one more factor.
+    floor(S*log2 p) is the largest c with 2^c <= p^S, i.e. one less than the
+    bit length of p^S, so no floating-point logarithm is involved.
+    """
+    return 2 * ((p ** _LOG_SCALE).bit_length() - 1) + 1
+
+
+def _wheel_table() -> np.ndarray:
+    """Weights of the wheel prime powers dividing n, indexed by n mod _WHEEL_PERIOD."""
+    global _wheel_table_cache
+    if _wheel_table_cache is None:
+        table = np.zeros(_WHEEL_PERIOD, dtype=np.int16)
+        for p, e in _WHEEL:
+            w = _log_weight(p)
+            for k in range(1, e + 1):
+                table[:: p ** k] += w
+        table.flags.writeable = False
+        _wheel_table_cache = table
+    return _wheel_table_cache
+
+
+def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) -> LambdaBlock:
+    """Exact lambda(n) for every n in [lo, hi] via a weighted-add sieve.
+
+    Each prime power p^k <= hi of a base prime p <= sqrt(hi) adds the odd
+    weight w_p = 2*floor(S*log2 p) + 1 (S = _LOG_SCALE) to its multiples in
+    one int16 accumulator.  The low bit of acc(n) is then the parity of the
+    small-prime factors of n, and acc(n) >> 1 = A(n) is the scaled log of
+    their product; n has one further prime factor above sqrt(hi) exactly
+    when A(n) < (S - 1)*floor(log2 n) (see the module docstring for the
+    proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within int16.
+    The wheel 2^4 * 3^2 * 5 * 7 * 11 is laid down from a periodic table when
+    all of its primes are base primes.
 
     Args:
         lo: window start (inclusive), >= 1
@@ -146,6 +210,7 @@ def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) ->
     Raises:
         ValueError: if lo > hi, lo < 1, or the window exceeds MAX_SEGMENT_SIZE.
     """
+    lo, hi = operator.index(lo), operator.index(hi)
     if lo < 1:
         raise ValueError(f"segment must start at >= 1, got lo={lo}")
     if lo > hi:
@@ -159,23 +224,40 @@ def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) ->
     if base_primes is None:
         base_primes = primes_upto(root)
 
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    parity = np.zeros(size, dtype=np.int8)
+    acc = np.empty(size, dtype=np.int16)
+    done = {}  # prime -> highest power already in acc
+    if root >= _WHEEL[-1][0]:
+        table = _wheel_table()
+        pos, off = 0, lo % _WHEEL_PERIOD
+        while pos < size:
+            n = min(size - pos, _WHEEL_PERIOD - off)
+            acc[pos : pos + n] = table[off : off + n]
+            pos, off = pos + n, 0
+        done = dict(_WHEEL)
+    else:
+        acc[:] = 0
     for p in base_primes:
         p = int(p)
         if p > root:
             break
-        pk = p
+        w = _log_weight(p)
+        pk = p ** (done.get(p, 0) + 1)
         while pk <= hi:
-            start = ((lo + pk - 1) // pk) * pk - lo
+            start = -lo % pk
             if start >= size:
                 break
-            residual[start::pk] //= p
-            parity[start::pk] ^= 1
+            acc[start::pk] += w
             pk *= p
-    # Any residual > 1 is a single prime factor above sqrt(hi).
-    parity[residual > 1] ^= 1
-    values = (1 - 2 * parity).astype(np.int8)
+
+    # A prime above sqrt(hi) divides n exactly when acc(n) < 2*(S-1)*floor(log2 n).
+    big = np.empty(size, dtype=bool)
+    for k in range(lo.bit_length() - 1, hi.bit_length()):
+        a = max(lo, 1 << k) - lo
+        b = min(hi + 1, 1 << (k + 1)) - lo
+        np.less(acc[a:b], 2 * (_LOG_SCALE - 1) * k, out=big[a:b])
+    odd = (acc & 1).astype(np.int8)
+    np.bitwise_xor(odd, big, out=odd)
+    values = 1 - 2 * odd
     return LambdaBlock(lo=lo, values=values)
 
 

@@ -4,20 +4,39 @@ The accumulator keeps a compensated floating-point sum together with a
 worst-case rounding-error bound, so sign decisions can be made honestly:
 a value is only called positive or negative when it clears the error bound.
 
-Summation scheme: terms are summed exactly within each block (math.fsum,
-which returns the correctly rounded sum of its inputs) and blocks are chained
-with a Neumaier-compensated carry.  For alpha = 0 the terms are the int8
-values of lambda themselves and each block sum is an int64 sum, with no
-float terms and no fsum.  The tracked bound covers
+Summation scheme: each block's float terms are summed by a vectorised
+pairwise TwoSum cascade (the error-free transformations of Ogita, Rump and
+Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26 (2005)), and
+blocks are chained with a Neumaier-compensated carry.  For alpha = 0 the
+terms are the int8 values of lambda themselves and each block sum is an
+int64 sum, with no float terms.  The tracked bound covers
 
   (a) per-term representation error of lambda(n)/n^alpha in binary64,
-  (b) the final rounding of each block sum (<= 1 eps of the block magnitude),
+  (b) the error of each block sum (<= 1 eps of the block magnitude),
   (c) the compensated carry across blocks (<= 2 eps of the absolute sum),
 
 and is accumulated as err_bound += eps * (K(alpha) + 4) * block_abs_sum,
 where K(alpha) bounds the per-term relative error in eps units (see
 _term_error_constant).  For alpha = 0 every quantity is an integer below
 2^53, all arithmetic is exact, and the bound stays 0.
+
+Item (b) for the cascade.  Let x_1..x_N be the float terms, s their exact
+sum and u = eps/2.  Every TwoSum turns a + b into fl(a + b) + e exactly,
+with |e| <= u|fl(a + b)|, so after h = ceil(log2 N) levels s = t + E, where
+t is the one value left and E the exact sum of the N - 1 recovered errors.
+Each level's values total at most (1 + u) times the previous level's in
+absolute value, so sum|e| <= h u (1 + u)^h sum|x|.  The errors are added in
+floating point in some order, with error at most gamma_{N-2} sum|e|
+(gamma_n = n u / (1 - n u)), giving E'; then r = fl(t + E') satisfies
+
+  |r - s| <= u |s| + (1 + u) gamma_{N-2} h u (1 + u)^h sum|x|.
+
+Blocks hold N <= MAX_SEGMENT_SIZE = 2^25 terms, so h <= 25 and
+gamma_{N-2} < 2^-28, and the second term is below 1e-7 u sum|x|.  Hence
+|r - s| <= (1 + 1e-7) u sum|x| < eps * block_abs_sum: the budget of (b),
+which the correctly rounded fsum used before also met, is unchanged.
+(block_abs_sum is the float sum of the weights 1/n^alpha = |x_i|, itself
+within a relative 2^-28 of sum|x|, well inside the remaining slack.)
 
 Sign scanning makes one pass per block: it computes the block's terms once,
 evaluates the running sum at every integer X in the block from their prefix
@@ -119,28 +138,63 @@ def _term_error_constant(alpha: float, n_hi: int) -> float:
     return 2.0 + 2.0 * alpha * max(1.0, math.log(n_hi))
 
 
-def _block_terms(block: LambdaBlock, alpha: float) -> np.ndarray:
-    """lambda(n)/n^alpha over the block: the int8 values themselves at alpha = 0."""
+def _block_terms(block: LambdaBlock, alpha: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(terms, weights) over the block: terms lambda(n)/n^alpha, weights 1/n^alpha.
+
+    The weights are |terms| exactly.  At alpha = 0 the terms are the int8
+    values themselves and the weights are None.
+    """
     if alpha == 0.0:
-        return block.values
-    return block.values * _pow_terms(block.lo, block.hi, alpha)
+        return block.values, None
+    weights = _pow_terms(block.lo, block.hi, alpha)
+    return block.values * weights, weights
 
 
-def _fold(state: SumState, terms: np.ndarray) -> SumState:
+def _two_sum_cascade(x: np.ndarray) -> float:
+    """Sum of a non-empty float64 array within u|sum| + 1e-7 u sum|x| (module docstring).
+
+    Pairwise TwoSum: each level adds the first half of the values to the
+    second half, and the rounding error of every addition is recovered
+    exactly (Knuth's TwoSum, branch-free); an odd value out moves up
+    unchanged.  The top value plus the float sum of all recovered errors is
+    returned.
+    """
+    err = 0.0
+    while len(x) > 1:
+        n = len(x)
+        m = n // 2
+        a, b = x[:m], x[m : 2 * m]
+        s = np.empty(n - m)
+        top = s[:m]
+        np.add(a, b, out=top)
+        bv = top - a  # the part of b that reached top
+        av = top - bv  # the part of a that reached top
+        np.subtract(a, av, out=av)
+        np.subtract(b, bv, out=bv)
+        av += bv
+        err += float(np.sum(av))
+        if n & 1:
+            s[m] = x[-1]
+        x = s
+    return float(x[0]) + err
+
+
+def _fold(state: SumState, terms: np.ndarray, weights: Optional[np.ndarray]) -> SumState:
     """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
 
-    At alpha = 0 the terms are int8 and their sum is taken in int64, so no
-    float array or fsum is involved; the result equals the fsum of the same
-    values because every quantity is an integer below 2^53.  Mutates and
-    returns state.
+    weights are |terms| as returned by _block_terms.  At alpha = 0 the terms
+    are int8 and their sum is taken in int64, so no float array is involved;
+    the sum is exact because every quantity is an integer below 2^53.
+    Otherwise the block sum is _two_sum_cascade's.  Mutates and returns
+    state.
     """
     hi = state.upto + len(terms)
-    if state.alpha == 0.0:
+    if weights is None:
         block_sum = float(np.sum(terms, dtype=np.int64))
         block_abs = len(terms)
     else:
-        block_sum = math.fsum(terms.tolist())
-        block_abs = float(np.sum(np.abs(terms)))
+        block_sum = _two_sum_cascade(terms)
+        block_abs = float(np.sum(weights))
         k = _term_error_constant(state.alpha, hi)
         state.err_bound += EPS * (k + 4.0) * block_abs
 
@@ -159,8 +213,9 @@ def _fold(state: SumState, terms: np.ndarray) -> SumState:
 def accumulate(state: SumState, block: LambdaBlock) -> SumState:
     """Add lambda(n)/n^alpha for every n in the block to the running sum.
 
-    The block sum is exact at alpha = 0 and correctly rounded (math.fsum)
-    otherwise, and is folded into the state with a Neumaier-compensated
+    The block sum is exact at alpha = 0; otherwise it is a pairwise TwoSum
+    cascade, within u|s| + 1e-7 u sum|terms| of the exact sum s of the
+    float terms.  It is folded into the state with a Neumaier-compensated
     addition; err_bound and abs_sum advance per the module's documented bound.
 
     Args:
@@ -174,7 +229,7 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
         raise ValueError(
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
-    return _fold(state, _block_terms(block, state.alpha))
+    return _fold(state, *_block_terms(block, state.alpha))
 
 
 def evaluate(
@@ -472,16 +527,16 @@ def scan_sign(
         for block in blocks:
             carry = state.total()
             carry_err = state.err_bound
-            terms = _block_terms(block, alpha)
+            terms, weights = _block_terms(block, alpha)
 
             if exact:
                 prefix = np.cumsum(terms, dtype=np.int64)
                 values = carry + prefix  # carry is an exact small integer
-                errs = np.zeros(len(values), dtype=np.float64)
+                errs = np.broadcast_to(0.0, values.shape)
             else:
                 prefix = np.cumsum(terms)
                 values = carry + prefix
-                abs_prefix = np.cumsum(np.abs(terms))
+                abs_prefix = np.cumsum(weights)
                 k = _term_error_constant(alpha, block.hi)
                 j = np.arange(1, len(values) + 1, dtype=np.float64)
                 errs = carry_err + EPS * ((j + 1.0 + k) * abs_prefix + abs(carry))
@@ -499,7 +554,9 @@ def scan_sign(
                     i = start_i + int(np.argmax(violating))
                     tally.first_violation = block.lo + i
                     if not exact:
-                        _confirm_in_block(state, terms[: i + 1], claimed_sign)
+                        _confirm_in_block(
+                            state, terms[: i + 1], weights[: i + 1], claimed_sign
+                        )
                 tally.violations += n_viol
                 tally.indeterminate += int(np.count_nonzero(indeterminate))
 
@@ -517,7 +574,7 @@ def scan_sign(
                         tracer, xs0, v, e, violating, indeterminate, x_lo, x_hi
                     )
 
-            _fold(state, terms)
+            _fold(state, terms, weights)
             if progress is not None:
                 progress(state.upto)
             if checkpoint_path and state.upto >= next_checkpoint and state.upto < x_hi:
@@ -583,16 +640,18 @@ def _emit_trace_rows(
         tracer.row(xs0 + i, float(values[i]), float(errs[i]), cls)
 
 
-def _confirm_in_block(start: SumState, terms: np.ndarray, claimed: Sign) -> None:
+def _confirm_in_block(
+    start: SumState, terms: np.ndarray, weights: np.ndarray, claimed: Sign
+) -> None:
     """Confirm a violation at X = start.upto + len(terms) with the tight accumulator.
 
     start is the state carried at the start of the violation's block and terms
-    run from that block's first integer to X, so the fold into a copy does the
-    arithmetic of evaluate(X, alpha, segment_size).  The scan's per-X bound is
-    deliberately loose; this guards against the (never observed) case of a
-    violation flagged purely by bound slack.
+    (with their weights) run from that block's first integer to X, so the fold
+    into a copy does the arithmetic of evaluate(X, alpha, segment_size).  The
+    scan's per-X bound is deliberately loose; this guards against the (never
+    observed) case of a violation flagged purely by bound slack.
     """
-    check = _fold(dataclasses.replace(start), terms)
+    check = _fold(dataclasses.replace(start), terms, weights)
     x, value, err = check.upto, check.total(), check.err_bound
     if claimed is Sign.NONPOSITIVE:
         confirmed = value - err > 0.0

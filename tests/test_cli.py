@@ -172,6 +172,18 @@ class TestProductCommand:
         assert "error:" in captured.err
         assert "value =" not in captured.out
 
+    def test_negative_compare_sum_rejected(self, capsys):
+        rc = main(["product", "--alpha", "2", "--prime-limit", "100", "--compare-sum", "-5"])
+        assert rc == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "error: compare-sum must be >= 1" in captured.err
+        assert "value =" not in captured.out
+
+    def test_compare_sum_runs(self, capsys):
+        rc = main(["product", "--alpha", "2", "--prime-limit", "100", "--compare-sum", "1000"])
+        assert rc == EXIT_OK
+        assert "direct sum to X=1000" in capsys.readouterr().out
+
 
 class TestRunConfig:
     def test_round_trip_lossless(self):

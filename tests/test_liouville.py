@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_sums import liouville
 from liouville_sums.liouville import (
     LambdaBlock,
     lambda_at,
@@ -76,6 +77,50 @@ class TestSieveSegment:
     def test_matches_oracle_random_windows(self, lo):
         blk = sieve_segment(lo, lo + 199)
         assert blk.values.tolist() == [lambda_at(n) for n in range(lo, lo + 200)]
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, 3), (2, 8), (1, 15), (1, 120)])
+    def test_roots_below_wheel_primes(self, lo, hi):
+        # isqrt(hi) < 11: the wheel table is not used and every prime is sieved
+        assert sieve_segment(lo, hi).values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (121, 2000),  # the smallest hi whose root reaches 11
+            (2 * 55_440 - 37, 2 * 55_440 + 500),  # crosses a period boundary
+            (7 * 55_440 + 12_345, 7 * 55_440 + 14_000),
+            (55_440 + 999, 3 * 55_440 + 2_000),  # spans whole periods at an offset
+        ],
+    )
+    def test_wheel_offsets(self, lo, hi):
+        assert lo % 55_440 != 0
+        blk = sieve_segment(lo, hi)
+        assert blk.values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(2 ** 31 - 300, 2 ** 31 + 300), (2 ** 32 - 50, 2 ** 32 + 50), (10 ** 12 - 100, 10 ** 12 + 100)],
+    )
+    def test_windows_at_scale(self, lo, hi):
+        # dyadic slice boundaries inside the window, and roots up to 1e6
+        assert sieve_segment(lo, hi).values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+    def test_accumulator_fits_int16(self):
+        scale = liouville._LOG_SCALE
+        # each weight is 2*floor(S*log2 p) + 1, so it is at most (2S + 1)*log2 p
+        # and acc(n) <= (2S + 1)*log2 n: the largest ratio is at p = 2
+        for p in primes_upto(100_000).tolist():
+            w = liouville._log_weight(p)
+            assert w % 2 == 1
+            assert (w - 1) // 2 <= scale * math.log2(p) < (w - 1) // 2 + 1
+            assert w <= liouville._log_weight(2) * math.log2(p)
+        assert liouville._log_weight(2) == 2 * scale + 1
+        largest_acc = (2 * scale + 1) * 64  # bound for every n < 2^64
+        largest_threshold = 2 * (scale - 1) * 63
+        assert max(largest_acc, largest_threshold) <= np.iinfo(np.int16).max
+        table = liouville._wheel_table()
+        assert table.dtype == np.int16 and len(table) == 55_440
+        assert int(table[0]) == sum(e * liouville._log_weight(p) for p, e in liouville._WHEEL)
 
     def test_threadsafe_disjoint_segments(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_sums import liouville, partial_sum
@@ -69,6 +71,68 @@ class TestAccumulate:
             accumulate(state, sieve_segment(lo, lo + 6))
             tops.append(state.upto)
         assert tops == sorted(tops)
+
+
+def _mixed_sign_arrays():
+    """Float arrays of mixed sign and magnitude, some of them cancelling heavily."""
+    floats = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def build(draw):
+        xs = draw(st.lists(floats, min_size=1, max_size=301))
+        if draw(st.booleans()):
+            # append the negations of some entries, shuffled: a near-zero sum
+            negated = [-x for x in draw(st.lists(st.sampled_from(xs), max_size=len(xs)))]
+            xs = draw(st.permutations(xs + negated))
+        return xs
+
+    return build()
+
+
+class TestBlockSum:
+    @given(_mixed_sign_arrays())
+    @example([1e16, 1.0, -1e16])
+    @example([1.0, 1e100, 1.0, -1e100])
+    @example([0.1] * 7)
+    @settings(max_examples=300)
+    def test_within_documented_bound(self, xs):
+        # the block sum of _fold from a zero state, against the exact rational
+        # sum s: |r - s| <= u|s| + 1e-7 u sum|x| (partial_sum docstring), which
+        # puts r within eps * sum|x| of the correctly rounded fsum
+        terms = np.array(xs, dtype=np.float64)
+        state = partial_sum._fold(SumState(alpha=0.5), terms, np.abs(terms))
+        r = state.total()
+        exact = sum(Fraction(x) for x in xs)
+        abs_sum = sum(abs(Fraction(x)) for x in xs)
+        u = Fraction(EPS) / 2
+        assert abs(Fraction(r) - exact) <= u * abs(exact) + Fraction(1, 10 ** 7) * u * abs_sum
+        assert abs(Fraction(r) - Fraction(math.fsum(xs))) <= Fraction(EPS) * abs_sum
+
+    @pytest.mark.parametrize(
+        "alpha, claimed, seg",
+        [
+            (0.25, Sign.NONNEGATIVE, 777),
+            (0.5, Sign.NONNEGATIVE, 2 ** 12),
+            (1.0, Sign.NONPOSITIVE, 777),
+            (1.0, Sign.NONPOSITIVE, 5003),
+        ],
+    )
+    def test_confirmation_equals_evaluate(self, alpha, claimed, seg, monkeypatch):
+        # the in-block confirmation of the first violation (X = 5003, inside
+        # its block, or its last integer at seg = 5003) computes evaluate(X)'s
+        # value and bound bit for bit
+        seen = []
+        real = partial_sum._confirm_in_block
+
+        def spy(start, terms, weights, claimed_sign):
+            check = partial_sum._fold(dataclasses.replace(start), terms, weights)
+            seen.append((check.upto, check.total(), check.err_bound))
+            return real(start, terms, weights, claimed_sign)
+
+        monkeypatch.setattr(partial_sum, "_confirm_in_block", spy)
+        rep = scan_sign(5003, 6000, alpha, claimed, segment_size=seg)
+        assert rep.first_violation == 5003
+        assert seen == [(5003, *evaluate(5003, alpha, seg))]
 
 
 class TestEvaluate:
