@@ -26,6 +26,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -102,7 +103,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str, origin: str = "<config>") -> "RunConfig":
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
+        known = typing.get_type_hints(cls)
         values: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -117,7 +118,7 @@ class RunConfig:
             if key not in known:
                 raise ValueError(f"{origin}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _parse_literal(val.strip())
+                values[key] = _typed(key, _parse_literal(val.strip()), known[key])
             except ValueError as exc:
                 raise ValueError(f"{origin}:{lineno}: {exc}") from None
         return cls(**values)
@@ -141,6 +142,22 @@ def _parse_literal(text: str):
     except ValueError:
         pass
     return text
+
+
+def _typed(key: str, value, hint):
+    """value if it fits the field's declared type; ints given to float fields become floats.
+
+    bool is not taken as an int, and only Optional fields take None.
+    """
+    optional = typing.get_origin(hint) is typing.Union  # Optional[X] is Union[X, None]
+    if optional and value is None:
+        return None
+    want = typing.get_args(hint)[0] if optional else hint
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        also = " or None" if optional else ""
+        raise ValueError(f"{key} must be of type {want.__name__}{also}, got {value!r}")
+    return float(value) if want is float else value
 
 
 def _write_json_report(path: str, payload: dict) -> None:

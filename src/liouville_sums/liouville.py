@@ -10,27 +10,29 @@ Provides:
 - sieve_segment(lo, hi): exact lambda on a contiguous window via a
   weighted-add segmented sieve with one int16 accumulator.
 - stream_lambda_range(lo, hi, segment_size): consecutive sieved blocks
-  covering [lo, hi], with base primes computed once and reused.
+  covering [lo, hi].
 
-Why the sieve is exact.  Let r = isqrt(hi) and S = _LOG_SCALE = 64.  Each
-prime p <= r has the odd weight w_p = 2*c_p + 1 with c_p = floor(S*log2 p),
-and each power p^k <= hi adds w_p to its multiples, so for n in [lo, hi]
+Why the sieve is exact.  Let r = isqrt(hi), S = _LOG_SCALE = 64, and let P
+be the counted primes: those <= r together with the wheel primes 2, 3, 5,
+7 and 11.  Each p in P has the odd weight w_p = 2*c_p + 1 with
+c_p = floor(S*log2 p), and each power p^k <= hi adds w_p to its multiples
+(a wheel prime above r has p^2 > hi, so its first power is its only one),
+so for n in [lo, hi]
 
-    acc(n) = sum_{p <= r} v_p(n) * w_p = 2*A(n) + (Omega_small(n) mod 2)
+    acc(n) = sum_{p in P} v_p(n) * w_p = 2*A(n) + (Omega_P(n) mod 2)
 
-with A(n) = sum v_p(n)*c_p, where Omega_small counts the prime factors
-<= r with multiplicity.  Write n = m*q with m the r-smooth part.  Since
-n <= hi < (r + 1)^2, q is 1 or a single prime > r, so
-lambda(n) = (-1)^(Omega_small(n) + [q > 1]).  With k = floor(log2 n) and
+with A(n) = sum v_p(n)*c_p, where Omega_P counts the prime factors in P
+with multiplicity.  Write n = m*q with m the P-smooth part.  Every prime
+factor of q exceeds r, and n <= hi < (r + 1)^2, so q is 1 or a single
+prime q > r; it is not a wheel prime either, so q >= 13.  Hence
+lambda(n) = (-1)^(Omega_P(n) + [q > 1]).  With k = floor(log2 n) and
 S*log2 p - 1 < c_p <= S*log2 p:
 
 - q = 1: A(n) >= S*log2 n - Omega(n) >= (S - 1)*log2 n >= (S - 1)*k,
   because Omega(n) <= log2 n.
 - q > 1: A(n) <= S*log2 m = S*(log2 n - log2 q) < S*(k + 1) - S*L with
-  L = log2(r + 1) > k/2.  For r >= 2, L >= log2 3 >= S/(S - 2), so
-  S*L >= S + 2L > S + k and A(n) < (S - 1)*k.  For r = 1 (hi <= 3) there
-  are no base primes: A(n) = 0 < (S - 1)*k for n in {2, 3}, and n = 1 has
-  q = 1.
+  L = log2 q.  q^2 >= (r + 1)^2 > n gives L > k/2, and q >= 13 gives
+  L > 3 >= S/(S - 2), so S*L >= S + 2L > S + k and A(n) < (S - 1)*k.
 
 So q > 1 exactly when A(n) < (S - 1)*k, i.e. acc(n) < 2*(S - 1)*k, one
 integer threshold per dyadic slice [2^k, 2^(k+1)) of the window; no
@@ -38,9 +40,10 @@ per-element logarithm is taken.  Headroom: acc(n) <= sum v_p(n)*(2*S*log2 p
 + 1) <= (2*S + 1)*log2 n = 129*log2 n < 8256 for n < 2^64, below the int16
 maximum 32767, and the largest threshold 2*63*63 = 7938 fits as well.
 
-Base-prime tables are immutable numpy arrays and may be shared freely;
-disjoint segments can be sieved concurrently.  Anything that needs ordered
-results (running sums in particular) must consume blocks in order.
+The primes come from one module table that grows on demand and is only
+ever replaced whole, never written, so disjoint segments can be sieved
+concurrently.  Anything that needs ordered results (running sums in
+particular) must consume blocks in order.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ MAX_SEGMENT_SIZE = 1 << 25
 # Small primes used by lambda_at.  65536^2 > 4.2e9, enough to factor any
 # 32-bit integer outright; larger n fall back to odd trial division.
 _SMALL_PRIME_LIMIT = 65536
-_small_primes_cache: Optional[np.ndarray] = None
+
+# (limit, every prime <= limit as a read-only array): read and replaced as
+# one object, so a concurrent grow never pairs a limit with a shorter table.
+# Racing grows each slice their own table; the loser's only costs a rebuild.
+_prime_cache: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
 
 #: Scale S of the sieve's fixed-point logarithms: a prime p weighs
 #: 2*floor(S*log2 p) + 1.
@@ -85,11 +92,16 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
-def _small_primes() -> np.ndarray:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        _small_primes_cache = primes_upto(_SMALL_PRIME_LIMIT)
-    return _small_primes_cache
+def _primes_through(n: int) -> np.ndarray:
+    """All primes <= n, sliced from the module table, which doubles its limit to grow."""
+    global _prime_cache
+    limit, table = _prime_cache
+    if n > limit:
+        limit = max(n, 2 * limit)
+        table = primes_upto(limit)
+        table.flags.writeable = False
+        _prime_cache = (limit, table)
+    return table[: table.searchsorted(n, side="right")]
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ def lambda_at(n: int) -> int:
     """Liouville function at a single point, by full trial division.
 
     Serves as the independent oracle for the sieve: it shares no code with
-    sieve_segment beyond the base prime table.
+    sieve_segment beyond the prime table.
 
     Args:
         n: integer >= 1
@@ -142,7 +154,7 @@ def lambda_at(n: int) -> int:
         raise ValueError(f"lambda(n) requires n >= 1, got {n}")
     m = n
     omega = 0
-    for p in _small_primes():
+    for p in _primes_through(_SMALL_PRIME_LIMIT):
         p = int(p)
         if p * p > m:
             break
@@ -185,24 +197,22 @@ def _wheel_table() -> np.ndarray:
     return _wheel_table_cache
 
 
-def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) -> LambdaBlock:
+def sieve_segment(lo: int, hi: int) -> LambdaBlock:
     """Exact lambda(n) for every n in [lo, hi] via a weighted-add sieve.
 
-    Each prime power p^k <= hi of a base prime p <= sqrt(hi) adds the odd
-    weight w_p = 2*floor(S*log2 p) + 1 (S = _LOG_SCALE) to its multiples in
-    one int16 accumulator.  The low bit of acc(n) is then the parity of the
-    small-prime factors of n, and acc(n) >> 1 = A(n) is the scaled log of
-    their product; n has one further prime factor above sqrt(hi) exactly
-    when A(n) < (S - 1)*floor(log2 n) (see the module docstring for the
-    proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within int16.
-    The wheel 2^4 * 3^2 * 5 * 7 * 11 is laid down from a periodic table when
-    all of its primes are base primes.
+    The wheel 2^4 * 3^2 * 5 * 7 * 11 is laid down from a periodic table, and
+    every further prime power p^k <= hi of a prime p <= sqrt(hi) adds the
+    odd weight w_p = 2*floor(S*log2 p) + 1 (S = _LOG_SCALE) to its multiples
+    in one int16 accumulator.  The low bit of acc(n) is then the parity of
+    the counted prime factors of n, and acc(n) >> 1 = A(n) is the scaled
+    log of their product; n has one further prime factor above sqrt(hi)
+    exactly when A(n) < (S - 1)*floor(log2 n) (see the module docstring for
+    the proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within
+    int16.  The sieving primes come from the module's prime table.
 
     Args:
         lo: window start (inclusive), >= 1
         hi: window end (inclusive), >= lo
-        base_primes: optional precomputed primes covering sqrt(hi); computed
-            on the fly when omitted.
 
     Returns:
         LambdaBlock covering [lo, hi].
@@ -220,26 +230,16 @@ def sieve_segment(lo: int, hi: int, base_primes: Optional[np.ndarray] = None) ->
         raise ValueError(
             f"segment of {size} entries exceeds the memory budget of {MAX_SEGMENT_SIZE}"
         )
-    root = math.isqrt(hi)
-    if base_primes is None:
-        base_primes = primes_upto(root)
 
     acc = np.empty(size, dtype=np.int16)
-    done = {}  # prime -> highest power already in acc
-    if root >= _WHEEL[-1][0]:
-        table = _wheel_table()
-        pos, off = 0, lo % _WHEEL_PERIOD
-        while pos < size:
-            n = min(size - pos, _WHEEL_PERIOD - off)
-            acc[pos : pos + n] = table[off : off + n]
-            pos, off = pos + n, 0
-        done = dict(_WHEEL)
-    else:
-        acc[:] = 0
-    for p in base_primes:
-        p = int(p)
-        if p > root:
-            break
+    table = _wheel_table()
+    pos, off = 0, lo % _WHEEL_PERIOD
+    while pos < size:
+        n = min(size - pos, _WHEEL_PERIOD - off)
+        acc[pos : pos + n] = table[off : off + n]
+        pos, off = pos + n, 0
+    done = dict(_WHEEL)  # prime -> highest power already in acc
+    for p in _primes_through(math.isqrt(hi)).tolist():
         w = _log_weight(p)
         pk = p ** (done.get(p, 0) + 1)
         while pk <= hi:
@@ -268,8 +268,6 @@ def stream_lambda_range(
 ) -> Iterator[LambdaBlock]:
     """Yield consecutive non-overlapping blocks of lambda covering [lo, hi].
 
-    Base primes up to sqrt(hi) are computed once and reused per segment.
-
     Args:
         lo: first integer to cover, >= 1
         hi: last integer to cover, >= lo
@@ -283,9 +281,8 @@ def stream_lambda_range(
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if lo < 1 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
-    base_primes = primes_upto(math.isqrt(hi))
     start = lo
     while start <= hi:
         end = min(start + segment_size - 1, hi)
-        yield sieve_segment(start, end, base_primes)
+        yield sieve_segment(start, end)
         start = end + 1

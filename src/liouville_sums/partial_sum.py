@@ -373,25 +373,11 @@ class _ScanTally:
         )
 
 
-def _write_checkpoint(
-    path: str,
-    *,
-    alpha: float,
-    claimed: Sign,
-    x_lo: int,
-    x_hi: int,
-    segment_size: int,
-    state: SumState,
-    tally: _ScanTally,
-) -> None:
+def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "alpha": alpha,
-        "claimed_sign": claimed.value,
-        "x_lo": x_lo,
-        "x_hi": x_hi,
-        "segment_size": segment_size,
+        **scan,
         "state": {
             "upto": state.upto,
             "value": state.value.hex(),
@@ -407,27 +393,12 @@ def _write_checkpoint(
     os.replace(tmp, path)
 
 
-def _load_checkpoint(
-    path: str,
-    *,
-    alpha: float,
-    claimed: Sign,
-    x_lo: int,
-    x_hi: int,
-    segment_size: int,
-) -> tuple[SumState, _ScanTally]:
+def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unrecognized checkpoint file {path!r}")
-    expected = {
-        "alpha": alpha,
-        "claimed_sign": claimed.value,
-        "x_lo": x_lo,
-        "x_hi": x_hi,
-        "segment_size": segment_size,
-    }
-    for key, want in expected.items():
+    for key, want in scan.items():
         if payload.get(key) != want:
             raise ValueError(
                 f"checkpoint {path!r} was written for {key}={payload.get(key)!r}, "
@@ -435,7 +406,7 @@ def _load_checkpoint(
             )
     st = payload["state"]
     state = SumState(
-        alpha=alpha,
+        alpha=scan["alpha"],
         upto=st["upto"],
         value=float.fromhex(st["value"]),
         comp=float.fromhex(st["comp"]),
@@ -499,15 +470,16 @@ def scan_sign(
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     state = SumState(alpha=alpha)
     tally = _ScanTally()
+    # what a checkpoint records of the scan, and must match to be resumed
+    scan = {
+        "alpha": alpha,
+        "claimed_sign": claimed_sign.value,
+        "x_lo": x_lo,
+        "x_hi": x_hi,
+        "segment_size": segment_size,
+    }
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state, tally = _load_checkpoint(
-            checkpoint_path,
-            alpha=alpha,
-            claimed=claimed_sign,
-            x_lo=x_lo,
-            x_hi=x_hi,
-            segment_size=segment_size,
-        )
+        state, tally = _load_checkpoint(checkpoint_path, scan)
     next_checkpoint = (state.upto // checkpoint_every + 1) * checkpoint_every
 
     exact = alpha == 0.0
@@ -578,16 +550,7 @@ def scan_sign(
             if progress is not None:
                 progress(state.upto)
             if checkpoint_path and state.upto >= next_checkpoint and state.upto < x_hi:
-                _write_checkpoint(
-                    checkpoint_path,
-                    alpha=alpha,
-                    claimed=claimed_sign,
-                    x_lo=x_lo,
-                    x_hi=x_hi,
-                    segment_size=segment_size,
-                    state=state,
-                    tally=tally,
-                )
+                _write_checkpoint(checkpoint_path, scan, state, tally)
                 next_checkpoint = (state.upto // checkpoint_every + 1) * checkpoint_every
     finally:
         if trace_fh is not None:

@@ -221,6 +221,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=":2"):
             RunConfig.from_text("alpha=0.5\nnot a pair\n", origin="cfg")
 
+    @pytest.mark.parametrize(
+        "line", ["x_to=abc", "x_to=1e6", "alpha='0.5'", "segment_size=1000.0"]
+    )
+    def test_mistyped_value_rejected(self, line, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# typed fields\n{line}\n")
+        rc = main(["verify", "--config", str(cfgfile)])
+        assert rc == EXIT_RUNTIME
+        key = line.partition("=")[0]
+        assert f"error: {cfgfile}:2: {key} must be of type" in capsys.readouterr().err
+
     def test_cli_overrides_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(RunConfig(alpha=0.25, x_from=5, x_to=10).to_text())

@@ -80,7 +80,8 @@ class TestSieveSegment:
 
     @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, 3), (2, 8), (1, 15), (1, 120)])
     def test_roots_below_wheel_primes(self, lo, hi):
-        # isqrt(hi) < 11: the wheel table is not used and every prime is sieved
+        # isqrt(hi) < 11: the wheel table counts primes above the root, each
+        # of whose squares exceeds hi
         assert sieve_segment(lo, hi).values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
 
     @pytest.mark.parametrize(
@@ -122,15 +123,48 @@ class TestSieveSegment:
         assert table.dtype == np.int16 and len(table) == 55_440
         assert int(table[0]) == sum(e * liouville._log_weight(p) for p, e in liouville._WHEEL)
 
-    def test_threadsafe_disjoint_segments(self):
+    def test_threadsafe_disjoint_segments(self, fresh_prime_cache):
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        primes = primes_upto(1000)
-        windows = [(1 + 500 * i, 500 * (i + 1)) for i in range(8)]
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            blocks = list(ex.map(lambda w: sieve_segment(*w, primes), windows))
-        merged = np.concatenate([b.values for b in blocks])
-        assert np.array_equal(merged, sieve_segment(1, 4000).values)
+        # windows at different heights, so the prime table grows inside the
+        # worker threads, switching often
+        windows = [(10 ** k - 150, 10 ** k + 150) for k in range(3, 11)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                blocks = list(ex.map(lambda w: sieve_segment(*w), windows, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (lo, hi), blk in zip(windows, blocks):
+            assert blk.values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+
+@pytest.fixture
+def fresh_prime_cache(monkeypatch):
+    monkeypatch.setattr(liouville, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+
+
+class TestPrimeCache:
+    def test_growth_then_slicing(self, fresh_prime_cache):
+        # a table of the primes <= 5 must not serve [1, 200]: 169 = 13^2
+        windows = [(1, 35), (1, 200), (10 ** 12 - 100, 10 ** 12 + 100), (1, 200)]
+        # p == isqrt(hi) for each p: the slice of the grown table must keep p
+        windows += [(max(1, p * p - 50), p * p + 50) for p in (7, 11, 13, 65521, 999_983)]
+        blocks, limits = [], []
+        for lo, hi in windows:
+            blocks.append(sieve_segment(lo, hi))
+            limits.append(liouville._prime_cache[0])
+        assert limits[:3] == [5, 14, 10 ** 6]
+        assert set(limits[3:]) == {10 ** 6}
+        assert not liouville._prime_cache[1].flags.writeable
+        for (lo, hi), blk in zip(windows, blocks):
+            assert blk.values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+    def test_slices_hold_exactly_the_primes_through_n(self, fresh_prime_cache):
+        for n in (1, 2, 5, 100, 13, 1000, 997, 998, 2):
+            assert liouville._primes_through(n).tolist() == primes_upto(n).tolist()
 
 
 class TestLambdaBlock:

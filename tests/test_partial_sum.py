@@ -3,6 +3,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +201,35 @@ class TestErrorBoundSoundness:
             exact = float(oracle[state.upto])
             assert abs(state.total() - exact) <= max(state.err_bound, 1e-300)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_per_x_bound_against_50_digit_oracle(self, alpha, tmp_path):
+        # every X of a traced scan over four blocks from n = 1: the per-X bound
+        # covers the 50-digit value and is at least its documented floor
+        # eps*(j + 1 + K)*S_j, S_j the exact sum of the block's first j weights
+        x_max, seg = 4000, 1024
+        trace = tmp_path / "trace.csv"
+        scan_sign(
+            1, x_max, alpha, Sign.NONPOSITIVE,
+            segment_size=seg, trace_path=str(trace), trace_every=1,
+        )
+        with trace.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["X"]) for r in rows] == list(range(1, x_max + 1))
+        lam = sieve_segment(1, x_max).values.tolist()
+        sums = [acc for _, acc in oracles.hp_running_sums(lam, alpha)]
+        weight_sums = [acc for _, acc in oracles.hp_running_sums([1] * x_max, alpha)]
+        with mp.workdps(50):
+            for x, r in enumerate(rows, start=1):
+                value, err = float(r["value"]), float(r["err_bound"])
+                assert abs(mp.mpf(value) - sums[x - 1]) <= err, f"X={x}"
+                lo = (x - 1) // seg * seg + 1
+                j = x - lo + 1
+                k = partial_sum._term_error_constant(alpha, min(lo + seg - 1, x_max))
+                s_j = weight_sums[x - 1] - (weight_sums[lo - 2] if lo > 1 else 0)
+                # less the rounding of the float weights and their cumsum
+                floor = EPS * (j + 1 + k) * s_j * (1 - (j + k + 4) * EPS)
+                assert err >= floor, f"X={x}"
+
 
 class TestScanSign:
     def test_conjectured_range_clean(self):
@@ -267,9 +297,9 @@ class TestScanSign:
         sieved = []
         real = liouville.sieve_segment
 
-        def counting(lo, hi, base_primes=None):
+        def counting(lo, hi):
             sieved.append(hi - lo + 1)
-            return real(lo, hi, base_primes)
+            return real(lo, hi)
 
         monkeypatch.setattr(liouville, "sieve_segment", counting)
         rep = scan_sign(
