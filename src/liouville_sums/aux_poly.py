@@ -80,7 +80,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .zeros import ZeroTable, validate_zero
+from .zeros import ZeroTable
 from .zeta import ComplexValue, zeta, zeta_with_prime
 
 #: Euler-Mascheroni constant.
@@ -137,14 +137,15 @@ def residue_r0(alpha: float) -> float:
     return base
 
 
-def residue_rn(gamma_n: float, alpha: float, *, validate: bool = True) -> ComplexValue:
+def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
     """Residue coefficient of the oscillating term at ordinate gamma_n.
+
+    The ordinate is accepted only when |zeta(1/2 + i*gamma_n)| <=
+    ORDINATE_RESIDUAL_TOL, from the same evaluation that gives zeta' there.
 
     Args:
         gamma_n: positive ordinate of a (simple) critical-line zero
         alpha: exponent in [0, 1]
-        validate: check |zeta(1/2 + i*gamma_n)| <= 1e-3 before trusting the
-            ordinate (skip when the table was already validated)
 
     Returns:
         ComplexValue holding zeta(1 + 2i*gamma_n) /
@@ -152,25 +153,25 @@ def residue_rn(gamma_n: float, alpha: float, *, validate: bool = True) -> Comple
         first-order propagated error estimate.
 
     Raises:
-        ValueError: alpha out of range, ordinate fails validation, or
-            |zeta'| below the simplicity floor.
+        ValueError: alpha out of range, gamma_n not positive or not a zero
+            ordinate, or |zeta'| below the simplicity floor.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if validate:
-        check = validate_zero(gamma_n, ORDINATE_RESIDUAL_TOL)
-        if not check.passed:
-            raise ValueError(
-                f"gamma = {gamma_n!r} is not a zero ordinate: residual "
-                f"{check.residual:.3e} exceeds {ORDINATE_RESIDUAL_TOL:.0e}"
-            )
-    num = zeta(complex(1.0, 2.0 * gamma_n))
-    _, dz = zeta_with_prime(complex(0.5, gamma_n))
+    if not gamma_n > 0.0:
+        raise ValueError(f"ordinate must be positive, got {gamma_n}")
+    z, dz = zeta_with_prime(complex(0.5, gamma_n))
+    if not abs(z.value) <= ORDINATE_RESIDUAL_TOL:
+        raise ValueError(
+            f"gamma = {gamma_n!r} is not a zero ordinate: residual "
+            f"{abs(z.value):.3e} exceeds {ORDINATE_RESIDUAL_TOL:.0e}"
+        )
     if abs(dz.value) < ZETA_PRIME_FLOOR:
         raise ValueError(
             f"|zeta'(1/2 + {gamma_n!r}i)| = {abs(dz.value):.3e} below "
             f"{ZETA_PRIME_FLOOR:.0e}; bad ordinate or near-multiple zero"
         )
+    num = zeta(complex(1.0, 2.0 * gamma_n))
     denom = complex(0.5 - alpha, gamma_n) * dz.value
     r = num.value / denom
     rel = num.err / max(abs(num.value), 1e-300) + dz.err / abs(dz.value)
@@ -221,7 +222,7 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
     by 1 - gamma_n / T.
 
     Args:
-        zeros: validated ordinate table
+        zeros: ordinate table; residue_rn rejects an entry that is not a zero
         T: positive frequency cutoff
         alpha: exponent in [0, 1]
 
@@ -249,7 +250,7 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
     r0 = residue_r0(alpha)
     terms = []
     for g in zeros.below(T):
-        rn = residue_rn(g, alpha, validate=False)
+        rn = residue_rn(g, alpha)
         terms.append(
             AuxTerm(gamma=g, residue=rn.value, weight=1.0 - g / T, residue_err=rn.err)
         )

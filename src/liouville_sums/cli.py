@@ -272,7 +272,7 @@ def cmd_residues(cfg: RunConfig, report: Optional[str]) -> int:
     print(f"r0 = {r0!r}")
     for i in range(cfg.count):
         g = table.gammas[i]
-        rn = residue_rn(g, cfg.alpha, validate=False)
+        rn = residue_rn(g, cfg.alpha)
         rows.append({"n": i + 1, "gamma": g, "re": rn.re, "im": rn.im, "err": rn.err})
         print(f"r{i + 1} (gamma={g!r}) = {rn.re!r} {'+' if rn.im >= 0 else '-'} {abs(rn.im)!r}i  (err < {rn.err:.2e})")
     if report:

@@ -55,6 +55,7 @@ import enum
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
@@ -291,22 +292,11 @@ class SignReport:
         return self.violations == 0 and self.indeterminate == 0
 
     def to_dict(self) -> dict:
-        d = {
-            "alpha": self.alpha,
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
+        return {
+            **dataclasses.asdict(self),
             "claimed_sign": self.claimed_sign.value,
-            "checked": self.checked,
-            "violations": self.violations,
-            "first_violation": self.first_violation,
-            "min_value": self.min_value,
-            "argmin": self.argmin,
-            "max_value": self.max_value,
-            "argmax": self.argmax,
-            "indeterminate": self.indeterminate,
             "ok": self.ok(),
         }
-        return d
 
 
 def _classify_arrays(
@@ -323,20 +313,6 @@ def _classify_arrays(
     return violating, indeterminate
 
 
-class _TraceWriter:
-    """CSV trace of sampled scan rows, full round-trip precision."""
-
-    def __init__(self, fh: TextIO, alpha: float, every: int, write_header: bool = True):
-        self.fh = fh
-        self.alpha = alpha
-        self.every = every
-        if write_header:
-            fh.write(TRACE_HEADER + "\n")
-
-    def row(self, x: int, value: float, err: float, classification: str) -> None:
-        self.fh.write(f"{x},{self.alpha!r},{value!r},{err!r},{classification}\n")
-
-
 @dataclass
 class _ScanTally:
     """Mutable bookkeeping carried across blocks during a scan."""
@@ -349,28 +325,53 @@ class _ScanTally:
     max_value: float = -math.inf
     argmax: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "first_violation": self.first_violation,
-            "indeterminate": self.indeterminate,
-            "min_value": self.min_value.hex(),
-            "argmin": self.argmin,
-            "max_value": self.max_value.hex(),
-            "argmax": self.argmax,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "_ScanTally":
-        return cls(
-            violations=d["violations"],
-            first_violation=d["first_violation"],
-            indeterminate=d["indeterminate"],
-            min_value=float.fromhex(d["min_value"]),
-            argmin=d["argmin"],
-            max_value=float.fromhex(d["max_value"]),
-            argmax=d["argmax"],
+def _record_types(cls: type, scan: dict) -> dict:
+    """Field name -> declared type of a checkpoint record, less the fields scan holds."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in scan}
+
+
+def _encode(record, scan: dict) -> dict:
+    """A record's checkpoint fields, floats as float.hex strings, the rest as they are."""
+    return {
+        name: float(getattr(record, name)).hex() if hint is float else getattr(record, name)
+        for name, hint in _record_types(type(record), scan).items()
+    }
+
+
+def _decode(cls: type, raw, scan: dict, path: str, key: str):
+    """Rebuild a record from the fields _encode wrote and what scan holds of it.
+
+    Each field must be present and of its declared type (a float as a
+    float.hex string, an int not a bool); a ValueError names the one that is not.
+    """
+    types = _record_types(cls, scan)
+    if not isinstance(raw, dict):
+        raise ValueError(f"checkpoint {path!r}: {key} must be a JSON object, got {raw!r}")
+    missing, unexpected = types.keys() - raw.keys(), raw.keys() - types.keys()
+    if missing or unexpected:
+        raise ValueError(
+            f"checkpoint {path!r}: {key} must hold exactly the fields {list(types)}; "
+            f"missing {sorted(missing)}, unexpected {sorted(unexpected)}"
         )
+    values = {f.name: scan[f.name] for f in dataclasses.fields(cls) if f.name in scan}
+    for name, hint in types.items():
+        v = raw[name]
+        kinds = typing.get_args(hint) or (hint,)
+        try:
+            if hint is float:
+                values[name] = float.fromhex(v)  # a TypeError unless v is a str
+            elif type(v) in kinds:
+                values[name] = v
+            else:
+                raise TypeError
+        except (TypeError, ValueError):
+            want = "a float.hex string" if hint is float else " or ".join(t.__name__ for t in kinds)
+            raise ValueError(
+                f"checkpoint {path!r}: {key}.{name} must be {want}, got {v!r}"
+            ) from None
+    return cls(**values)
 
 
 def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally) -> None:
@@ -378,14 +379,8 @@ def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally)
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         **scan,
-        "state": {
-            "upto": state.upto,
-            "value": state.value.hex(),
-            "comp": state.comp.hex(),
-            "err_bound": state.err_bound.hex(),
-            "abs_sum": state.abs_sum.hex(),
-        },
-        "tally": tally.to_dict(),
+        "state": _encode(state, scan),
+        "tally": _encode(tally, scan),
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -396,6 +391,8 @@ def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally)
 def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path!r} must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unrecognized checkpoint file {path!r}")
     for key, want in scan.items():
@@ -404,16 +401,15 @@ def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
                 f"checkpoint {path!r} was written for {key}={payload.get(key)!r}, "
                 f"scan requested {key}={want!r}"
             )
-    st = payload["state"]
-    state = SumState(
-        alpha=scan["alpha"],
-        upto=st["upto"],
-        value=float.fromhex(st["value"]),
-        comp=float.fromhex(st["comp"]),
-        err_bound=float.fromhex(st["err_bound"]),
-        abs_sum=float.fromhex(st["abs_sum"]),
-    )
-    return state, _ScanTally.from_dict(payload["tally"])
+    state = _decode(SumState, payload.get("state"), scan, path, "state")
+    # the writer checkpoints only at a block end before x_hi
+    seg, x_hi = scan["segment_size"], scan["x_hi"]
+    if not (0 < state.upto < x_hi and state.upto % seg == 0):
+        raise ValueError(
+            f"checkpoint {path!r}: state.upto = {state.upto} is not a multiple of "
+            f"segment_size={seg} below x_hi={x_hi}"
+        )
+    return state, _decode(_ScanTally, payload.get("tally"), scan, path, "tally")
 
 
 def scan_sign(
@@ -458,7 +454,8 @@ def scan_sign(
         SignReport for the scanned range.
 
     Raises:
-        ValueError: on an invalid range, alpha or stride.
+        ValueError: on an invalid range, alpha or stride, or a checkpoint
+            that was written for another scan or does not decode.
         RuntimeError: if the tight accumulator cannot confirm the first
             violation flagged by the per-X bound.
     """
@@ -471,25 +468,21 @@ def scan_sign(
     state = SumState(alpha=alpha)
     tally = _ScanTally()
     # what a checkpoint records of the scan, and must match to be resumed
-    scan = {
-        "alpha": alpha,
-        "claimed_sign": claimed_sign.value,
-        "x_lo": x_lo,
-        "x_hi": x_hi,
-        "segment_size": segment_size,
-    }
+    scan = dict(
+        alpha=alpha, claimed_sign=claimed_sign.value, x_lo=x_lo, x_hi=x_hi, segment_size=segment_size
+    )
     if checkpoint_path and os.path.exists(checkpoint_path):
         state, tally = _load_checkpoint(checkpoint_path, scan)
     next_checkpoint = (state.upto // checkpoint_every + 1) * checkpoint_every
 
     exact = alpha == 0.0
     trace_fh: Optional[TextIO] = None
-    tracer: Optional[_TraceWriter] = None
     try:
         if trace_path is not None:
             resuming = state.upto > 0 and os.path.exists(trace_path)
             trace_fh = open(trace_path, "a" if resuming else "w", encoding="utf-8")
-            tracer = _TraceWriter(trace_fh, alpha, trace_every, write_header=not resuming)
+            if not resuming:
+                trace_fh.write(TRACE_HEADER + "\n")
 
         blocks = (
             stream_lambda_range(state.upto + 1, x_hi, segment_size)
@@ -541,9 +534,10 @@ def scan_sign(
                     tally.max_value = float(v[i_max])
                     tally.argmax = xs0 + i_max
 
-                if tracer is not None:
+                if trace_fh is not None:
                     _emit_trace_rows(
-                        tracer, xs0, v, e, violating, indeterminate, x_lo, x_hi
+                        trace_fh, alpha, trace_every, xs0, v, e, violating, indeterminate,
+                        x_lo, x_hi,
                     )
 
             _fold(state, terms, weights)
@@ -562,18 +556,21 @@ def scan_sign(
         x_hi=x_hi,
         claimed_sign=claimed_sign,
         checked=x_hi - x_lo + 1,
-        violations=tally.violations,
-        first_violation=tally.first_violation,
-        min_value=tally.min_value,
-        argmin=tally.argmin,
-        max_value=tally.max_value,
-        argmax=tally.argmax,
-        indeterminate=tally.indeterminate,
+        **dataclasses.asdict(tally),
     )
 
 
+#: Trace labels, indexed by 2 * violating + indeterminate.
+_TRACE_LABELS = ("conforming", "indeterminate", "violation")
+
+#: Trace rows formatted per write; bounds the memory of their Python strings.
+_TRACE_CHUNK = 1 << 12
+
+
 def _emit_trace_rows(
-    tracer: _TraceWriter,
+    fh: TextIO,
+    alpha: float,
+    every: int,
     xs0: int,
     values: np.ndarray,
     errs: np.ndarray,
@@ -582,25 +579,21 @@ def _emit_trace_rows(
     x_lo: int,
     x_hi: int,
 ) -> None:
-    """Write sampled rows plus every violating/indeterminate X."""
-    every = tracer.every
+    """Write the rows of the multiples of every, the range ends and every flagged X.
+
+    Row i is X = xs0 + i, with full round-trip precision.
+    """
     n = len(values)
-    first_mult = ((xs0 + every - 1) // every) * every
-    sampled = set(range(first_mult - xs0, n, every))
-    if xs0 == x_lo:
-        sampled.add(0)
-    if xs0 + n - 1 == x_hi:
-        sampled.add(n - 1)
-    flagged = np.nonzero(violating | indeterminate)[0]
-    sampled.update(int(i) for i in flagged)
-    for i in sorted(sampled):
-        if violating[i]:
-            cls = "violation"
-        elif indeterminate[i]:
-            cls = "indeterminate"
-        else:
-            cls = "conforming"
-        tracer.row(xs0 + i, float(values[i]), float(errs[i]), cls)
+    stride = np.arange(-xs0 % every, n, every)
+    ends = np.array([0, n - 1])[[xs0 == x_lo, xs0 + n - 1 == x_hi]]
+    rows = np.unique(np.concatenate((stride, np.flatnonzero(violating | indeterminate), ends)))
+    for i in range(0, len(rows), _TRACE_CHUNK):
+        r = rows[i : i + _TRACE_CHUNK]
+        labels = (2 * violating[r] + indeterminate[r]).tolist()
+        xs, vs, es = (xs0 + r).tolist(), values[r].tolist(), errs[r].tolist()
+        fh.write("".join(
+            f"{x},{alpha!r},{v!r},{e!r},{_TRACE_LABELS[c]}\n" for x, v, e, c in zip(xs, vs, es, labels)
+        ))
 
 
 def _confirm_in_block(

@@ -221,35 +221,34 @@ def _em_evaluate(
     return z, dz, err_z, err_dz
 
 
-def zeta(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> ComplexValue:
+def zeta(s: complex) -> ComplexValue:
     """Riemann zeta at complex s (s != 1, |Im s| <= SUPPORTED_IM_MAX).
+
+    The truncation targets DEFAULT_TARGET_EPS (see em_params).
 
     Args:
         s: evaluation point
-        target_eps: truncation accuracy target passed to em_params
 
     Returns:
         ComplexValue with the value and a heuristic absolute error estimate.
     """
     s = _check_argument(s)
-    N, M = em_params(s, target_eps)
+    N, M = em_params(s)
     z, _, err, _ = _em_evaluate(s, N, M)
     return ComplexValue(z.real, z.imag, err)
 
 
-def zeta_prime(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> ComplexValue:
-    """Derivative of Riemann zeta at complex s, same expansion as zeta."""
+def zeta_prime(s: complex) -> ComplexValue:
+    """Derivative of Riemann zeta at complex s, same expansion and target as zeta."""
     s = _check_argument(s)
-    N, M = em_params(s, target_eps)
+    N, M = em_params(s)
     _, dz, _, err = _em_evaluate(s, N, M)
     return ComplexValue(dz.real, dz.imag, err)
 
 
-def zeta_with_prime(
-    s: complex, target_eps: float = DEFAULT_TARGET_EPS
-) -> tuple[ComplexValue, ComplexValue]:
-    """Value and derivative in one pass; cheaper when both are needed."""
+def zeta_with_prime(s: complex) -> tuple[ComplexValue, ComplexValue]:
+    """Value and derivative in one pass, same target as zeta; cheaper when both are needed."""
     s = _check_argument(s)
-    N, M = em_params(s, target_eps)
+    N, M = em_params(s)
     z, dz, err_z, err_dz = _em_evaluate(s, N, M)
     return ComplexValue(z.real, z.imag, err_z), ComplexValue(dz.real, dz.imag, err_dz)

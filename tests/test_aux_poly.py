@@ -112,6 +112,8 @@ class TestResidueRn:
     def test_rejects_non_ordinate(self):
         with pytest.raises(ValueError, match="not a zero ordinate"):
             residue_rn(15.0, 0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            residue_rn(-oracles.GAMMA_1, 0.0)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

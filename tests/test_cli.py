@@ -13,6 +13,7 @@ from liouville_sums.cli import (
     RunConfig,
     main,
 )
+from liouville_sums.partial_sum import Sign, scan_sign
 
 
 def strip_timestamp(text: str) -> str:
@@ -90,6 +91,67 @@ class TestVerifyCommand:
         assert f"error: {flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
 
 
+class TestMalformedCheckpoint:
+    """A checkpoint that does not decode is an error, not a resume from bad state."""
+
+    ARGS = [
+        "verify", "--alpha", "0.5", "--from", "17", "--to", "60000", "--sign", "nonpositive",
+        "--segment-size", "16384", "--checkpoint-every", "30000",
+    ]
+
+    @pytest.mark.parametrize(
+        "corrupt, fragments",
+        [
+            (lambda p: [], ["must hold a JSON object"]),
+            (
+                lambda p: {**p, "tally": {k: v for k, v in p["tally"].items() if k != "argmax"}},
+                ["tally must hold exactly the fields", "missing ['argmax'], unexpected []"],
+            ),
+            (
+                lambda p: {**p, "state": {**p["state"], "extra": 0}},
+                ["state must hold exactly the fields", "missing [], unexpected ['extra']"],
+            ),
+            (
+                lambda p: {**p, "state": {**p["state"], "value": 1.5}},
+                ["state.value must be a float.hex string, got 1.5"],
+            ),
+            (
+                lambda p: {**p, "state": {**p["state"], "upto": True}},
+                ["state.upto must be int, got True"],
+            ),
+            (
+                lambda p: {**p, "state": {**p["state"], "upto": 4 * 16384}},
+                ["state.upto = 65536 is not a multiple of segment_size=16384 below x_hi=60000"],
+            ),
+            (
+                lambda p: {**p, "state": {**p["state"], "upto": 12345}},
+                ["state.upto = 12345 is not a multiple of segment_size=16384"],
+            ),
+        ],
+        ids=[
+            "array", "missing-tally-field", "extra-state-field", "number-for-hex", "bool-upto",
+            "upto-past-x_hi", "upto-off-block",
+        ],
+    )
+    def test_rejected_with_error_line(self, corrupt, fragments, tmp_path, capsys):
+        cp = tmp_path / "cp.json"
+        args = self.ARGS + ["--checkpoint", str(cp)]
+        assert main(args) == EXIT_OK
+        cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
+        capsys.readouterr()
+        with pytest.raises(ValueError) as exc:
+            scan_sign(
+                17, 60_000, 0.5, Sign.NONPOSITIVE, segment_size=16384,
+                checkpoint_path=str(cp), checkpoint_every=30_000,
+            )
+        message = str(exc.value)
+        assert message.startswith(f"checkpoint {str(cp)!r}")
+        for fragment in fragments:
+            assert fragment in message
+        assert main(args) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestAuxCommand:
     def test_bundled_scan(self, tmp_path, capsys):
         report = tmp_path / "aux.json"
@@ -127,6 +189,25 @@ class TestAuxCommand:
         rc = main(["aux", "--alpha", "0.5", *bounds])
         assert rc == EXIT_RUNTIME
         assert "error:" in capsys.readouterr().err
+
+
+def _table_with_non_zero(tmp_path):
+    table = tmp_path / "zeros.txt"
+    table.write_text("14.134725141735\n21.5\n25.010857580146\n")
+    return str(table)
+
+
+class TestNonZeroOrdinateRejected:
+    @pytest.mark.parametrize(
+        "args",
+        [["aux", "--cutoff", "26"], ["residues", "--count", "3"]],
+        ids=["aux", "residues"],
+    )
+    def test_error_names_the_ordinate(self, args, tmp_path, capsys):
+        rc = main([*args, "--alpha", "0.5", "--zeros", _table_with_non_zero(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma = 21.5 is not a zero ordinate")
 
 
 class TestResiduesCommand:

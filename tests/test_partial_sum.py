@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -339,29 +340,63 @@ class TestScanSign:
         with pytest.raises(ValueError, match="alpha"):
             scan_sign(1, 10, alpha, Sign.NONPOSITIVE)
 
-    def test_trace_rows(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        scan_sign(
-            1,
-            25_000,
-            0.5,
-            Sign.NONPOSITIVE,
-            trace_path=str(trace),
-            trace_every=10_000,
-        )
-        with trace.open() as fh:
-            rows = list(csv.DictReader(fh))
-        xs = [int(r["X"]) for r in rows]
-        # sampled rows, the endpoints, and the early violations
-        assert 10_000 in xs and 20_000 in xs and 1 in xs and 25_000 in xs
-        for r in rows:
-            x = int(r["X"])
-            v, e = evaluate(x, 0.5)
-            assert float(r["value"]) == pytest.approx(v, abs=1e-9)
-            cls = r["classification"]
-            assert cls in {"conforming", "violation", "indeterminate"}
-            if x >= 17:
-                assert cls == "conforming"
+    def test_trace_rows(self, tmp_path, monkeypatch):
+        # what _classify_arrays says of each classified X, in scan order
+        said = []
+        real = partial_sum._classify_arrays
+
+        def spy(values, errs, claimed):
+            violating, indeterminate = real(values, errs, claimed)
+            said.append((values, errs, violating, indeterminate))
+            return violating, indeterminate
+
+        monkeypatch.setattr(partial_sum, "_classify_arrays", spy)
+        # rows are written in chunks; make blocks span several, with a partial last one
+        monkeypatch.setattr(partial_sum, "_TRACE_CHUNK", 7)
+        # a scan from X = 1 that conforms from X = 17 on, and at alpha = 1
+        # (positive throughout) a clean and a violating scan that start and
+        # end mid-block
+        for x_lo, x_hi, alpha, claimed, every, seg in [
+            (1, 25_000, 0.5, Sign.NONPOSITIVE, 10_000, liouville.DEFAULT_SEGMENT_SIZE),
+            (1000, 5000, 1.0, Sign.NONNEGATIVE, 300, 2 ** 10),
+            (1000, 5000, 1.0, Sign.NONPOSITIVE, 300, 2 ** 10),
+        ]:
+            said.clear()
+            trace = tmp_path / f"trace-{alpha}-{claimed.value}.csv"
+            scan_sign(
+                x_lo,
+                x_hi,
+                alpha,
+                claimed,
+                segment_size=seg,
+                trace_path=str(trace),
+                trace_every=every,
+            )
+            values, errs, violating, indeterminate = map(np.concatenate, zip(*said))
+            assert len(values) == x_hi - x_lo + 1
+            flagged = x_lo + np.flatnonzero(violating | indeterminate)
+            multiples = range(-(-x_lo // every) * every, x_hi + 1, every)
+            with trace.open() as fh:
+                rows = list(csv.DictReader(fh))
+            xs = [int(r["X"]) for r in rows]
+            assert xs == sorted({*multiples, x_lo, x_hi, *flagged.tolist()})
+            for x, r in zip(xs, rows):
+                i = x - x_lo
+                assert float(r["value"]) == values[i]
+                assert float(r["err_bound"]) == errs[i]
+                want = (
+                    "violation" if violating[i]
+                    else "indeterminate" if indeterminate[i]
+                    else "conforming"
+                )
+                assert r["classification"] == want
+                v, e = evaluate(x, alpha)
+                assert float(r["value"]) == pytest.approx(v, abs=1e-9)
+                if alpha == 0.5 and x >= 17:
+                    assert want == "conforming"
+            if alpha == 1.0:
+                assert violating.all() == (claimed is Sign.NONPOSITIVE)
+                assert violating.any() == (claimed is Sign.NONPOSITIVE)
 
     def test_checkpoint_resume_identical(self, tmp_path):
         # a clean scan and a violating one (alpha = 1 is positive throughout)
@@ -393,6 +428,29 @@ class TestScanSign:
             assert resumed.violations == full.violations
             assert resumed.indeterminate == full.indeterminate
             assert resumed.first_violation == full.first_violation
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_checkpoint_before_x_lo_resumes(self, alpha, tmp_path):
+        # interrupt the scan after a checkpoint written before x_lo is reached
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(upto):
+            if upto > 40_000:
+                raise Interrupted
+
+        cp = tmp_path / "cp.json"
+        args = (50_000, 120_000, alpha, Sign.NONPOSITIVE)
+        kwargs = dict(segment_size=2 ** 14, checkpoint_path=str(cp), checkpoint_every=20_000)
+        with pytest.raises(Interrupted):
+            scan_sign(*args, progress=interrupt, **kwargs)
+        written = json.loads(cp.read_text())
+        assert written["state"]["upto"] == 2 * 2 ** 14
+        assert written["tally"]["min_value"] == "inf"
+        assert written["tally"]["first_violation"] is None
+        resumed = scan_sign(*args, **kwargs)
+        assert resumed == scan_sign(*args, segment_size=2 ** 14)
+        assert (resumed.first_violation is None) == (alpha == 0.5)
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"
