@@ -73,6 +73,7 @@ be partitioned across workers and merged associatively.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -322,17 +323,9 @@ class UScanReport:
     sign_changes: tuple[tuple[float, float], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "cutoff": self.cutoff,
-            "u_lo": self.u_lo,
-            "u_hi": self.u_hi,
-            "step": self.step,
-            "n_points": self.n_points,
-            "max": {"u": self.maximum.u, "value": self.maximum.value, "x_equiv": self.maximum.x_equiv},
-            "min": {"u": self.minimum.u, "value": self.minimum.value, "x_equiv": self.minimum.x_equiv},
-            "sign_changes": [list(iv) for iv in self.sign_changes],
-        }
+        d = dataclasses.asdict(self)
+        d["max"], d["min"] = d.pop("maximum"), d.pop("minimum")
+        return d
 
 
 def _x_equiv(u: float) -> Optional[float]:

@@ -15,13 +15,16 @@ Exit codes (stable contract):
 
 Structured reports are JSON (sorted keys; the generated_at timestamp is the
 only nondeterministic field).  Traces are CSV at full round-trip precision.
-Config files are plain key=value text; values on the command line override
-values from the file, which override built-in defaults.
+Config files are key=value lines whose values are Python literals; values on
+the command line override values from the file, which override built-in
+defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
 import dataclasses
 import json
 import sys
@@ -125,23 +128,19 @@ class RunConfig:
 
 
 def _parse_literal(text: str):
-    if text.startswith(("'", '"')) and text.endswith(text[0]) and len(text) >= 2:
-        return text[1:-1]
-    if text == "None":
-        return None
-    if text == "True":
-        return True
-    if text == "False":
-        return False
+    """The Python literal text spells, as --write-config writes values.
+
+    Bare inf and nan are floats, and any other text that is not a literal
+    (such as sign=nonnegative) is read as that text.
+    """
     try:
-        return int(text)
-    except ValueError:
+        return ast.literal_eval(text)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         pass
     try:
         return float(text)
     except ValueError:
-        pass
-    return text
+        return text
 
 
 def _typed(key: str, value, hint):
@@ -160,10 +159,17 @@ def _typed(key: str, value, hint):
     return float(value) if want is float else value
 
 
-def _write_json_report(path: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = REPORT_SCHEMA_VERSION
-    payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def _write_json_report(path: Optional[str], kind: str, cfg: RunConfig, **fields) -> None:
+    """Write fields under the report envelope to path; no-op without a path."""
+    if not path:
+        return
+    payload = {
+        "kind": kind,
+        "config": dataclasses.asdict(cfg),
+        **fields,
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -175,7 +181,7 @@ def _load_table(cfg: RunConfig):
     return bundled_zero_table()
 
 
-def cmd_verify(cfg: RunConfig, trace: Optional[str], report: Optional[str], checkpoint: Optional[str]) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run a sign scan and write its artifacts; exit 0 only on a clean scan."""
     claimed = Sign(cfg.sign)
     t0 = time.monotonic()
@@ -185,21 +191,13 @@ def cmd_verify(cfg: RunConfig, trace: Optional[str], report: Optional[str], chec
         cfg.alpha,
         claimed,
         segment_size=cfg.segment_size,
-        trace_path=trace,
+        trace_path=args.trace,
         trace_every=cfg.trace_every,
-        checkpoint_path=checkpoint,
+        checkpoint_path=args.checkpoint,
         checkpoint_every=cfg.checkpoint_every,
     )
     elapsed = time.monotonic() - t0
-    if report:
-        _write_json_report(
-            report,
-            {
-                "kind": "verify",
-                "config": dataclasses.asdict(cfg),
-                "report": result.to_dict(),
-            },
-        )
+    _write_json_report(args.report, "verify", cfg, report=result.to_dict())
     print(
         f"verify alpha={cfg.alpha} X in [{cfg.x_from}, {cfg.x_to}] "
         f"claimed {claimed.value}: "
@@ -219,30 +217,18 @@ def cmd_verify(cfg: RunConfig, trace: Optional[str], report: Optional[str], chec
     return EXIT_OK
 
 
-def cmd_aux(cfg: RunConfig, trace: Optional[str], report: Optional[str]) -> int:
+def cmd_aux(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Build the auxiliary polynomial, scan it, and write artifacts."""
     table = _load_table(cfg)
     cutoff = cfg.cutoff
     if cutoff is None:
         cutoff = table.gammas[min(100, len(table)) - 1]
     poly = build_polynomial(table, cutoff, cfg.alpha)
-    trace_fh = open(trace, "w", encoding="utf-8") if trace else None
-    try:
+    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace_fh:
         result = scan_u(poly, cfg.u_from, cfg.u_to, cfg.u_step, trace=trace_fh)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    if report:
-        _write_json_report(
-            report,
-            {
-                "kind": "aux-scan",
-                "config": dataclasses.asdict(cfg),
-                "n_terms": len(poly.terms),
-                "r0": poly.r0,
-                "report": result.to_dict(),
-            },
-        )
+    _write_json_report(
+        args.report, "aux-scan", cfg, n_terms=len(poly.terms), r0=poly.r0, report=result.to_dict()
+    )
     print(
         f"aux alpha={cfg.alpha} T={cutoff} ({len(poly.terms)} terms), "
         f"u in [{cfg.u_from}, {cfg.u_to}] step {cfg.u_step}: {result.n_points} points"
@@ -257,8 +243,12 @@ def cmd_aux(cfg: RunConfig, trace: Optional[str], report: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_residues(cfg: RunConfig, report: Optional[str]) -> int:
-    """Print r0 and the first residues with error estimates."""
+def cmd_residues(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Print r0 and the first residues with error estimates.
+
+    Every residue is computed before anything is printed, so a table entry
+    that is not a zero ordinate leaves stdout empty.
+    """
     if cfg.count < 1:
         raise ValueError(f"residue count must be >= 1, got {cfg.count}")
     table = _load_table(cfg)
@@ -267,28 +257,17 @@ def cmd_residues(cfg: RunConfig, report: Optional[str]) -> int:
             f"requested {cfg.count} residues but the table holds {len(table)} zeros"
         )
     r0 = residue_r0(cfg.alpha)
-    rows = []
+    residues = [(g, residue_rn(g, cfg.alpha)) for g in table.gammas[: cfg.count]]
+    rows = [{"n": n, "gamma": g, **dataclasses.asdict(rn)} for n, (g, rn) in enumerate(residues, 1)]
+    _write_json_report(args.report, "residues", cfg, r0=r0, residues=rows)
     print(f"alpha = {cfg.alpha}")
     print(f"r0 = {r0!r}")
-    for i in range(cfg.count):
-        g = table.gammas[i]
-        rn = residue_rn(g, cfg.alpha)
-        rows.append({"n": i + 1, "gamma": g, "re": rn.re, "im": rn.im, "err": rn.err})
-        print(f"r{i + 1} (gamma={g!r}) = {rn.re!r} {'+' if rn.im >= 0 else '-'} {abs(rn.im)!r}i  (err < {rn.err:.2e})")
-    if report:
-        _write_json_report(
-            report,
-            {
-                "kind": "residues",
-                "config": dataclasses.asdict(cfg),
-                "r0": r0,
-                "residues": rows,
-            },
-        )
+    for n, (g, rn) in enumerate(residues, 1):
+        print(f"r{n} (gamma={g!r}) = {rn.re!r} {'+' if rn.im >= 0 else '-'} {abs(rn.im)!r}i  (err < {rn.err:.2e})")
     return EXIT_OK
 
 
-def cmd_product(cfg: RunConfig) -> int:
+def cmd_product(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Evaluate the Euler product, optionally against the direct sum."""
     if cfg.compare_sum < 0:
         raise ValueError(
@@ -313,13 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", metavar="FILE", help="key=value config file")
-        p.add_argument("--write-config", metavar="FILE", help="write the effective config and exit")
-        p.add_argument("--report", metavar="FILE", help="write a JSON report")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--config", metavar="FILE", help="key=value config file")
+    common.add_argument("--write-config", metavar="FILE", help="write the effective config and exit")
+    common.add_argument("--report", metavar="FILE", help="write a JSON report")
 
-    pv = sub.add_parser("verify", help="scan L(X, alpha) for sign violations")
-    pv.add_argument("--alpha", type=float)
+    def add(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(run=run)
+        return p
+
+    pv = add("verify", cmd_verify, "scan L(X, alpha) for sign violations")
     pv.add_argument("--from", dest="x_from", type=int, metavar="X")
     pv.add_argument("--to", dest="x_to", type=int, metavar="X")
     pv.add_argument("--sign", choices=[s.value for s in Sign])
@@ -328,37 +312,30 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trace-every", dest="trace_every", type=int)
     pv.add_argument("--checkpoint", metavar="FILE", help="JSON checkpoint for resumable scans")
     pv.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    add_common(pv)
 
-    pa = sub.add_parser("aux", help="scan the auxiliary polynomial over u")
-    pa.add_argument("--alpha", type=float)
+    pa = add("aux", cmd_aux, "scan the auxiliary polynomial over u")
     pa.add_argument("--zeros", dest="zeros_path", metavar="FILE", help="zero table (default: bundled)")
     pa.add_argument("--cutoff", "-T", dest="cutoff", type=float, help="frequency cutoff T")
     pa.add_argument("--u-from", dest="u_from", type=float)
     pa.add_argument("--u-to", dest="u_to", type=float)
     pa.add_argument("--step", dest="u_step", type=float)
     pa.add_argument("--trace", metavar="FILE", help="CSV trace of every grid point")
-    add_common(pa)
 
-    pr = sub.add_parser("residues", help="print r0 and the first residues")
-    pr.add_argument("--alpha", type=float)
+    pr = add("residues", cmd_residues, "print r0 and the first residues")
     pr.add_argument("--count", type=int)
     pr.add_argument("--zeros", dest="zeros_path", metavar="FILE")
-    add_common(pr)
 
-    pp = sub.add_parser("product", help="Euler product for alpha > 1")
-    pp.add_argument("--alpha", type=float)
+    pp = add("product", cmd_product, "Euler product for alpha > 1")
     pp.add_argument("--prime-limit", dest="prime_limit", type=int)
     pp.add_argument("--compare-sum", dest="compare_sum", type=int, metavar="X")
     pp.add_argument("--segment-size", dest="segment_size", type=int)
-    add_common(pp)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit command-line values."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         cfg = RunConfig.from_text(path.read_text(encoding="utf-8"), origin=str(path))
     overrides = {
@@ -370,23 +347,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if getattr(args, "write_config", None):
+        if args.write_config:
             Path(args.write_config).write_text(cfg.to_text(), encoding="utf-8")
             print(f"wrote config to {args.write_config}")
             return EXIT_OK
-        if args.command == "verify":
-            return cmd_verify(cfg, args.trace, args.report, args.checkpoint)
-        if args.command == "aux":
-            return cmd_aux(cfg, args.trace, args.report)
-        if args.command == "residues":
-            return cmd_residues(cfg, args.report)
-        if args.command == "product":
-            return cmd_product(cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(cfg, args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

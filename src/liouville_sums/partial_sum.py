@@ -388,9 +388,41 @@ def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally)
     os.replace(tmp, path)
 
 
+def _check_tally(tally: _ScanTally, upto: int, x_lo: int, path: str) -> None:
+    """Raise a ValueError naming the first field of tally that no scan to upto could hold.
+
+    Before x_lo nothing is tallied.  From there on the counts cover at most
+    the X in [x_lo, upto], first_violation is set exactly when a violation
+    was counted, and every recorded X lies in that range.
+    """
+    def fail(name: str, why: str):
+        raise ValueError(f"checkpoint {path!r}: tally.{name} = {getattr(tally, name)!r} {why}")
+
+    if upto < x_lo:
+        for f in dataclasses.fields(_ScanTally):
+            if getattr(tally, f.name) != f.default:
+                fail(f.name, f"is not {f.default!r} with state.upto = {upto} below x_lo = {x_lo}")
+        return
+    for name in ("violations", "indeterminate"):
+        if getattr(tally, name) < 0:
+            fail(name, "is negative")
+    n = upto - x_lo + 1
+    if tally.violations + tally.indeterminate > n:
+        fail("indeterminate", f"plus tally.violations exceeds the {n} X in [x_lo, state.upto]")
+    if (tally.first_violation is None) != (tally.violations == 0):
+        fail("first_violation", "must be null exactly when tally.violations is 0")
+    for name in ("first_violation", "argmin", "argmax"):
+        x = getattr(tally, name)
+        if x is not None and not x_lo <= x <= upto:
+            fail(name, f"is outside [x_lo, state.upto] = [{x_lo}, {upto}]")
+
+
 def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"checkpoint {path!r}: not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path!r} must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
@@ -409,7 +441,9 @@ def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
             f"checkpoint {path!r}: state.upto = {state.upto} is not a multiple of "
             f"segment_size={seg} below x_hi={x_hi}"
         )
-    return state, _decode(_ScanTally, payload.get("tally"), scan, path, "tally")
+    tally = _decode(_ScanTally, payload.get("tally"), scan, path, "tally")
+    _check_tally(tally, state.upto, scan["x_lo"], path)
+    return state, tally
 
 
 def scan_sign(
@@ -455,7 +489,8 @@ def scan_sign(
 
     Raises:
         ValueError: on an invalid range, alpha or stride, or a checkpoint
-            that was written for another scan or does not decode.
+            that was written for another scan, does not decode, or holds a
+            tally that disagrees with its state.
         RuntimeError: if the tight accumulator cannot confirm the first
             violation flagged by the per-X bound.
     """
@@ -484,12 +519,7 @@ def scan_sign(
             if not resuming:
                 trace_fh.write(TRACE_HEADER + "\n")
 
-        blocks = (
-            stream_lambda_range(state.upto + 1, x_hi, segment_size)
-            if state.upto < x_hi
-            else iter(())
-        )
-        for block in blocks:
+        for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
             carry = state.total()
             carry_err = state.err_bound
             terms, weights = _block_terms(block, alpha)

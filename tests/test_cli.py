@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -11,6 +12,7 @@ from liouville_sums.cli import (
     EXIT_RUNTIME,
     EXIT_VIOLATION,
     RunConfig,
+    _build_parser,
     main,
 )
 from liouville_sums.partial_sum import Sign, scan_sign
@@ -91,11 +93,20 @@ class TestVerifyCommand:
         assert f"error: {flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
 
 
+def _tally(**fields):
+    """A corruption that sets tally fields of the decoded checkpoint."""
+    return lambda p: {**p, "tally": {**p["tally"], **fields}}
+
+
 class TestMalformedCheckpoint:
-    """A checkpoint that does not decode is an error, not a resume from bad state."""
+    """A checkpoint that does not decode is an error, not a resume from bad state.
+
+    Each case corrupts the checkpoint a 60000-X scan writes at upto 32768:
+    a corruption returns the JSON value to write, or the raw bytes.
+    """
 
     ARGS = [
-        "verify", "--alpha", "0.5", "--from", "17", "--to", "60000", "--sign", "nonpositive",
+        "verify", "--alpha", "0.5", "--to", "60000", "--sign", "nonpositive",
         "--segment-size", "16384", "--checkpoint-every", "30000",
     ]
 
@@ -127,21 +138,60 @@ class TestMalformedCheckpoint:
                 lambda p: {**p, "state": {**p["state"], "upto": 12345}},
                 ["state.upto = 12345 is not a multiple of segment_size=16384"],
             ),
+            (lambda p: b"{", ["not JSON: Expecting property name"]),
+            (lambda p: b'{"format": "\xff\xfe"}', ["not JSON: 'utf-8' codec can't decode byte 0xff"]),
+            (_tally(violations=-5, first_violation=None), ["tally.violations = -5 is negative"]),
+            (_tally(indeterminate=-1), ["tally.indeterminate = -1 is negative"]),
+            (
+                _tally(indeterminate=32753),
+                ["tally.indeterminate = 32753 plus tally.violations exceeds the 32752 X"],
+            ),
+            (
+                _tally(violations=1),
+                ["tally.first_violation = None must be null exactly when tally.violations is 0"],
+            ),
+            (
+                _tally(first_violation=100),
+                ["tally.first_violation = 100 must be null exactly when tally.violations is 0"],
+            ),
+            (
+                _tally(violations=1, first_violation=40000),
+                ["tally.first_violation = 40000 is outside [x_lo, state.upto] = [17, 32768]"],
+            ),
+            (_tally(argmin=16), ["tally.argmin = 16 is outside [x_lo, state.upto] = [17, 32768]"]),
+            (
+                _tally(argmax=32769),
+                ["tally.argmax = 32769 is outside [x_lo, state.upto] = [17, 32768]"],
+            ),
         ],
         ids=[
             "array", "missing-tally-field", "extra-state-field", "number-for-hex", "bool-upto",
-            "upto-past-x_hi", "upto-off-block",
+            "upto-past-x_hi", "upto-off-block", "not-json", "not-utf8", "negative-violations",
+            "negative-indeterminate", "counts-past-range", "violations-without-first",
+            "first-without-violations", "first-violation-past-upto", "argmin-below-x_lo",
+            "argmax-past-upto",
         ],
     )
     def test_rejected_with_error_line(self, corrupt, fragments, tmp_path, capsys):
+        self._assert_rejected(corrupt, fragments, 17, tmp_path, capsys)
+
+    def test_tally_before_x_lo_rejected(self, tmp_path, capsys):
+        # the checkpoint at upto 32768 precedes x_lo, so nothing may be tallied
+        self._assert_rejected(
+            _tally(argmin=5), ["tally.argmin = 5 is not 0 with state.upto = 32768 below x_lo = 40000"],
+            40_000, tmp_path, capsys,
+        )
+
+    def _assert_rejected(self, corrupt, fragments, x_lo, tmp_path, capsys):
         cp = tmp_path / "cp.json"
-        args = self.ARGS + ["--checkpoint", str(cp)]
+        args = self.ARGS + ["--from", str(x_lo), "--checkpoint", str(cp)]
         assert main(args) == EXIT_OK
-        cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
+        bad = corrupt(json.loads(cp.read_text()))
+        cp.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         capsys.readouterr()
         with pytest.raises(ValueError) as exc:
             scan_sign(
-                17, 60_000, 0.5, Sign.NONPOSITIVE, segment_size=16384,
+                x_lo, 60_000, 0.5, Sign.NONPOSITIVE, segment_size=16384,
                 checkpoint_path=str(cp), checkpoint_every=30_000,
             )
         message = str(exc.value)
@@ -206,8 +256,9 @@ class TestNonZeroOrdinateRejected:
     def test_error_names_the_ordinate(self, args, tmp_path, capsys):
         rc = main([*args, "--alpha", "0.5", "--zeros", _table_with_non_zero(tmp_path)])
         assert rc == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.startswith("error: gamma = 21.5 is not a zero ordinate")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gamma = 21.5 is not a zero ordinate")
+        assert "r0 =" not in captured.out
 
 
 class TestResiduesCommand:
@@ -268,9 +319,14 @@ class TestProductCommand:
 
 class TestRunConfig:
     def test_round_trip_lossless(self):
-        cfg = RunConfig(alpha=0.123456789012345, x_from=7, sign="nonnegative")
-        again = RunConfig.from_text(cfg.to_text())
-        assert again == cfg
+        for cfg in [
+            RunConfig(alpha=0.123456789012345, x_from=7, sign="nonnegative"),
+            RunConfig(zeros_path="C:\\zeros.txt"),
+            RunConfig(zeros_path="""it's "quoted".txt"""),
+            RunConfig(zeros_path="two\nlines.txt"),
+            RunConfig(u_to=float("inf")),
+        ]:
+            assert RunConfig.from_text(cfg.to_text()) == cfg
 
     def test_every_field_has_default(self):
         for f in dataclasses.fields(RunConfig):
@@ -293,6 +349,14 @@ class TestRunConfig:
         )
         assert RunConfig.from_text(text) == RunConfig()
         assert RunConfig.from_text("fast_rotation=True\nalpha=0.25\n") == RunConfig(alpha=0.25)
+
+    def test_values_beyond_literals(self):
+        assert RunConfig.from_text("sign=nonnegative\nx_to=0x10\n") == RunConfig(
+            sign="nonnegative", x_to=16
+        )
+        # too deep for the literal parser, so read as text and rejected by type
+        with pytest.raises(ValueError, match="alpha must be of type float"):
+            RunConfig.from_text("alpha=" + "-" * 100_000 + "1\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -324,6 +388,27 @@ class TestRunConfig:
         eff = RunConfig.from_text(out.read_text())
         assert eff.alpha == 0.5  # explicit flag wins
         assert eff.x_from == 5  # config file beats default
+
+
+class TestParser:
+    def test_each_subcommand_keeps_its_options(self):
+        common = ["--alpha", "--config", "--help", "--report", "--write-config", "-h"]
+        expected = {
+            "verify": common + [
+                "--checkpoint", "--checkpoint-every", "--from", "--segment-size", "--sign",
+                "--to", "--trace", "--trace-every",
+            ],
+            "aux": common + ["--cutoff", "--step", "--trace", "--u-from", "--u-to", "--zeros", "-T"],
+            "residues": common + ["--count", "--zeros"],
+            "product": common + ["--compare-sum", "--prime-limit", "--segment-size"],
+        }
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(s for action in p._actions for s in action.option_strings)
+            for name, p in sub.choices.items()
+        }
+        assert options == {name: sorted(opts) for name, opts in expected.items()}
 
 
 class TestConsoleEntryPoint:
