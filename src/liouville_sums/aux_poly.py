@@ -81,14 +81,11 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .zeros import ZeroTable
+from .zeros import DEFAULT_VALIDATE_TOL, ZeroTable
 from .zeta import ComplexValue, zeta, zeta_with_prime
 
 #: Euler-Mascheroni constant.
 EULER_GAMMA = float(np.euler_gamma)
-
-#: Residual ceiling for an ordinate to be accepted as a genuine zero.
-ORDINATE_RESIDUAL_TOL = 1.0e-3
 
 #: Minimum |zeta'(rho)|; below this the simplicity assumption is in doubt.
 ZETA_PRIME_FLOOR = 1.0e-6
@@ -142,7 +139,7 @@ def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
     """Residue coefficient of the oscillating term at ordinate gamma_n.
 
     The ordinate is accepted only when |zeta(1/2 + i*gamma_n)| <=
-    ORDINATE_RESIDUAL_TOL, from the same evaluation that gives zeta' there.
+    zeros.DEFAULT_VALIDATE_TOL, from the same evaluation that gives zeta' there.
 
     Args:
         gamma_n: positive ordinate of a (simple) critical-line zero
@@ -162,10 +159,10 @@ def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
     if not gamma_n > 0.0:
         raise ValueError(f"ordinate must be positive, got {gamma_n}")
     z, dz = zeta_with_prime(complex(0.5, gamma_n))
-    if not abs(z.value) <= ORDINATE_RESIDUAL_TOL:
+    if not abs(z.value) <= DEFAULT_VALIDATE_TOL:
         raise ValueError(
             f"gamma = {gamma_n!r} is not a zero ordinate: residual "
-            f"{abs(z.value):.3e} exceeds {ORDINATE_RESIDUAL_TOL:.0e}"
+            f"{abs(z.value):.3e} exceeds {DEFAULT_VALIDATE_TOL:.0e}"
         )
     if abs(dz.value) < ZETA_PRIME_FLOOR:
         raise ValueError(

@@ -277,10 +277,15 @@ def cmd_product(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"product over primes <= {cfg.prime_limit} at alpha={cfg.alpha}:")
     print(f"  value = {value!r}")
     print(f"  tail bound (log scale) = {tail!r}")
+    direct_sum = None
     if cfg.compare_sum > 0:
         sv, se = evaluate(cfg.compare_sum, cfg.alpha, cfg.segment_size)
+        direct_sum = {"x": cfg.compare_sum, "value": sv, "err_bound": se}
         print(f"  direct sum to X={cfg.compare_sum}: {sv!r} (err bound {se!r})")
         print(f"  |product - sum| = {abs(value - sv)!r}")
+    _write_json_report(
+        args.report, "product", cfg, value=value, tail_bound=tail, direct_sum=direct_sum
+    )
     return EXIT_OK
 
 

@@ -50,6 +50,7 @@ start of its block.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import json
@@ -84,6 +85,18 @@ class Sign(enum.Enum):
     NONPOSITIVE = "nonpositive"
     NONNEGATIVE = "nonnegative"
 
+    def violated(self, value, err):
+        """True where the claim fails by more than err; floats or elementwise on arrays."""
+        if self is Sign.NONPOSITIVE:
+            return value - err > 0.0
+        return value + err < 0.0
+
+    def holds(self, value, err):
+        """True where the claim holds even off by err; floats or elementwise on arrays."""
+        if self is Sign.NONPOSITIVE:
+            return value + err <= 0.0
+        return value - err >= 0.0
+
 
 @dataclass
 class SumState:
@@ -115,25 +128,13 @@ class SumState:
         return self.value + self.comp
 
 
-def _pow_terms(lo: int, hi: int, alpha: float) -> np.ndarray:
-    """Vector of 1/n^alpha for n in [lo, hi], alpha > 0, with specialized fast paths."""
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    if alpha == 0.5:
-        return 1.0 / np.sqrt(n)
-    if alpha == 1.0:
-        return 1.0 / n
-    return np.exp(-alpha * np.log(n))
-
-
 def _term_error_constant(alpha: float, n_hi: int) -> float:
     """Bound, in units of EPS, on the relative error of computing 1/n^alpha.
 
     The named exponents use correctly rounded primitives (sqrt, division);
     the generic path goes through exp(-alpha*ln n), whose relative error
-    grows with |alpha * ln n|.
+    grows with |alpha * ln n|.  Only the float path (alpha > 0) asks.
     """
-    if alpha == 0.0:
-        return 0.0
     if alpha in (0.5, 1.0):
         return 1.0
     return 2.0 + 2.0 * alpha * max(1.0, math.log(n_hi))
@@ -143,11 +144,18 @@ def _block_terms(block: LambdaBlock, alpha: float) -> tuple[np.ndarray, Optional
     """(terms, weights) over the block: terms lambda(n)/n^alpha, weights 1/n^alpha.
 
     The weights are |terms| exactly.  At alpha = 0 the terms are the int8
-    values themselves and the weights are None.
+    values themselves and the weights are None: callers take the exact
+    integer path exactly when the weights are None.
     """
     if alpha == 0.0:
         return block.values, None
-    weights = _pow_terms(block.lo, block.hi, alpha)
+    n = np.arange(block.lo, block.hi + 1, dtype=np.float64)
+    if alpha == 0.5:
+        weights = 1.0 / np.sqrt(n)
+    elif alpha == 1.0:
+        weights = 1.0 / n
+    else:
+        weights = np.exp(-alpha * np.log(n))
     return block.values * weights, weights
 
 
@@ -303,14 +311,8 @@ def _classify_arrays(
     values: np.ndarray, errs: np.ndarray, claimed: Sign
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return boolean (violating, indeterminate) arrays for a value block."""
-    if claimed is Sign.NONPOSITIVE:
-        violating = values - errs > 0.0
-        conforming = values + errs <= 0.0
-    else:
-        violating = values + errs < 0.0
-        conforming = values - errs >= 0.0
-    indeterminate = ~(violating | conforming)
-    return violating, indeterminate
+    violating = claimed.violated(values, errs)
+    return violating, ~(violating | claimed.holds(values, errs))
 
 
 @dataclass
@@ -508,37 +510,30 @@ def scan_sign(
     )
     if checkpoint_path and os.path.exists(checkpoint_path):
         state, tally = _load_checkpoint(checkpoint_path, scan)
-    next_checkpoint = (state.upto // checkpoint_every + 1) * checkpoint_every
 
-    exact = alpha == 0.0
-    trace_fh: Optional[TextIO] = None
-    try:
-        if trace_path is not None:
-            resuming = state.upto > 0 and os.path.exists(trace_path)
-            trace_fh = open(trace_path, "a" if resuming else "w", encoding="utf-8")
-            if not resuming:
-                trace_fh.write(TRACE_HEADER + "\n")
+    resuming = trace_path is not None and state.upto > 0 and os.path.exists(trace_path)
+    with (
+        open(trace_path, "a" if resuming else "w", encoding="utf-8")
+        if trace_path is not None else contextlib.nullcontext()
+    ) as trace_fh:
+        if trace_fh is not None and not resuming:
+            trace_fh.write(TRACE_HEADER + "\n")
 
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
-            carry = state.total()
-            carry_err = state.err_bound
             terms, weights = _block_terms(block, alpha)
-
-            if exact:
-                prefix = np.cumsum(terms, dtype=np.int64)
-                values = carry + prefix  # carry is an exact small integer
-                errs = np.broadcast_to(0.0, values.shape)
-            else:
-                prefix = np.cumsum(terms)
-                values = carry + prefix
-                abs_prefix = np.cumsum(weights)
-                k = _term_error_constant(alpha, block.hi)
-                j = np.arange(1, len(values) + 1, dtype=np.float64)
-                errs = carry_err + EPS * ((j + 1.0 + k) * abs_prefix + abs(carry))
 
             # Classify only the part of the block inside [x_lo, x_hi].
             start_i = max(0, x_lo - block.lo)
-            if start_i < len(values):
+            if start_i < len(terms):
+                carry = state.total()
+                if weights is None:
+                    values = carry + np.cumsum(terms, dtype=np.int64)  # carry is an exact small integer
+                    errs = np.broadcast_to(0.0, values.shape)
+                else:
+                    values = carry + np.cumsum(terms)
+                    k = _term_error_constant(alpha, block.hi)
+                    j = np.arange(1, len(values) + 1, dtype=np.float64)
+                    errs = state.err_bound + EPS * ((j + 1.0 + k) * np.cumsum(weights) + abs(carry))
                 xs0 = block.lo + start_i
                 v = values[start_i:]
                 e = errs[start_i:]
@@ -548,7 +543,7 @@ def scan_sign(
                 if n_viol and tally.first_violation is None:
                     i = start_i + int(np.argmax(violating))
                     tally.first_violation = block.lo + i
-                    if not exact:
+                    if weights is not None:
                         _confirm_in_block(
                             state, terms[: i + 1], weights[: i + 1], claimed_sign
                         )
@@ -570,15 +565,14 @@ def scan_sign(
                         x_lo, x_hi,
                     )
 
+            intervals_before = state.upto // checkpoint_every
             _fold(state, terms, weights)
             if progress is not None:
                 progress(state.upto)
-            if checkpoint_path and state.upto >= next_checkpoint and state.upto < x_hi:
+            # at the first block end past each multiple of checkpoint_every
+            crossed = state.upto // checkpoint_every > intervals_before
+            if checkpoint_path and crossed and state.upto < x_hi:
                 _write_checkpoint(checkpoint_path, scan, state, tally)
-                next_checkpoint = (state.upto // checkpoint_every + 1) * checkpoint_every
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
 
     return SignReport(
         alpha=alpha,
@@ -639,11 +633,7 @@ def _confirm_in_block(
     """
     check = _fold(dataclasses.replace(start), terms, weights)
     x, value, err = check.upto, check.total(), check.err_bound
-    if claimed is Sign.NONPOSITIVE:
-        confirmed = value - err > 0.0
-    else:
-        confirmed = value + err < 0.0
-    if not confirmed:
+    if not claimed.violated(value, err):
         raise RuntimeError(
             f"scan flagged X={x} as violating but the compensated recomputation "
             f"(value={value!r}, err_bound={err!r}) cannot confirm it; "

@@ -113,20 +113,6 @@ def _tail_factor(sigma: float, M: int, s: complex) -> float:
     return abs(s + 2 * M + 1) / denom
 
 
-def _omitted_term_magnitude(s: complex, N: int, M: int) -> float:
-    """Size estimate of the first omitted correction, for choosing M.
-
-    Uses prod(|s+j| + 1) in place of |(s)_{2M+1}| so the estimate cannot
-    vanish at s = 0 (where the value corrections are exactly zero but the
-    derivative corrections are not); the overestimate only pushes M up.
-    """
-    rising = 1.0
-    for j in range(2 * M + 1):
-        rising *= abs(complex(s.real + j, s.imag)) + 1.0
-    mag = abs(_COEFF[M + 1]) * rising * N ** (-s.real - 2 * M - 1)
-    return mag * _tail_factor(s.real, M, s)
-
-
 def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, int]:
     """Truncation parameters (N, M) for the Euler-Maclaurin evaluation at s.
 
@@ -146,8 +132,17 @@ def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, 
     s = complex(s)
     N = max(10, math.ceil(abs(s.imag)))
     while True:
+        # The first omitted correction is estimated with the guard
+        # prod_{j <= 2M} (|s + j| + 1) in place of |(s)_{2M+1}|, so the estimate
+        # cannot vanish at s = 0 (where the value corrections are exactly zero
+        # but the derivative corrections are not); the overestimate only pushes
+        # M up.  The guard gains the factors j = 2M - 1, 2M for each M.
+        rising = abs(s) + 1.0
         for M in range(1, MAX_M + 1):
-            if _omitted_term_magnitude(s, N, M) <= target_eps:
+            for j in (2 * M - 1, 2 * M):
+                rising *= abs(complex(s.real + j, s.imag)) + 1.0
+            omitted = abs(_COEFF[M + 1]) * rising * N ** (-s.real - 2 * M - 1)
+            if omitted * _tail_factor(s.real, M, s) <= target_eps:
                 return N, M
         if N > 2 ** 24:
             return N, MAX_M
@@ -232,18 +227,12 @@ def zeta(s: complex) -> ComplexValue:
     Returns:
         ComplexValue with the value and a heuristic absolute error estimate.
     """
-    s = _check_argument(s)
-    N, M = em_params(s)
-    z, _, err, _ = _em_evaluate(s, N, M)
-    return ComplexValue(z.real, z.imag, err)
+    return zeta_with_prime(s)[0]
 
 
 def zeta_prime(s: complex) -> ComplexValue:
     """Derivative of Riemann zeta at complex s, same expansion and target as zeta."""
-    s = _check_argument(s)
-    N, M = em_params(s)
-    _, dz, _, err = _em_evaluate(s, N, M)
-    return ComplexValue(dz.real, dz.imag, err)
+    return zeta_with_prime(s)[1]
 
 
 def zeta_with_prime(s: complex) -> tuple[ComplexValue, ComplexValue]:

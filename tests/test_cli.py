@@ -11,11 +11,12 @@ from liouville_sums.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VIOLATION,
+    REPORT_SCHEMA_VERSION,
     RunConfig,
     _build_parser,
     main,
 )
-from liouville_sums.partial_sum import Sign, scan_sign
+from liouville_sums.partial_sum import Sign, euler_product_value, evaluate, scan_sign
 
 
 def strip_timestamp(text: str) -> str:
@@ -315,6 +316,28 @@ class TestProductCommand:
         rc = main(["product", "--alpha", "2", "--prime-limit", "100", "--compare-sum", "1000"])
         assert rc == EXIT_OK
         assert "direct sum to X=1000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("compare_sum", [0, 1000])
+    def test_report_written(self, compare_sum, tmp_path, capsys):
+        report = tmp_path / "p.json"
+        rc = main([
+            "product", "--alpha", "2", "--prime-limit", "100",
+            "--compare-sum", str(compare_sum), "--report", str(report),
+        ])
+        assert rc == EXIT_OK
+        data = json.loads(report.read_text())
+        assert data["kind"] == "product"
+        assert data["schema_version"] == REPORT_SCHEMA_VERSION
+        assert data["config"] == dataclasses.asdict(
+            RunConfig(alpha=2.0, prime_limit=100, compare_sum=compare_sum)
+        )
+        assert "generated_at" in data
+        assert (data["value"], data["tail_bound"]) == euler_product_value(2.0, 100)
+        if compare_sum:
+            value, err_bound = evaluate(compare_sum, 2.0)
+            assert data["direct_sum"] == {"x": compare_sum, "value": value, "err_bound": err_bound}
+        else:
+            assert data["direct_sum"] is None
 
 
 class TestRunConfig:

@@ -25,6 +25,39 @@ from liouville_sums.partial_sum import (
 import oracles
 
 
+class TestSign:
+    # (claimed, value, err, violated, holds): a value that touches zero within
+    # err is neither, whichever side it lies on
+    TABLE = [
+        (Sign.NONPOSITIVE, 2.0, 1.0, True, False),
+        (Sign.NONPOSITIVE, 1.0, 1.0, False, False),
+        (Sign.NONPOSITIVE, 0.5, 1.0, False, False),
+        (Sign.NONPOSITIVE, -1.0, 1.0, False, True),
+        (Sign.NONPOSITIVE, -2.0, 1.0, False, True),
+        (Sign.NONPOSITIVE, 1.0, 0.0, True, False),
+        (Sign.NONPOSITIVE, 0.0, 0.0, False, True),
+        (Sign.NONPOSITIVE, -1.0, 0.0, False, True),
+        (Sign.NONNEGATIVE, -2.0, 1.0, True, False),
+        (Sign.NONNEGATIVE, -1.0, 1.0, False, False),
+        (Sign.NONNEGATIVE, -0.5, 1.0, False, False),
+        (Sign.NONNEGATIVE, 1.0, 1.0, False, True),
+        (Sign.NONNEGATIVE, 2.0, 1.0, False, True),
+        (Sign.NONNEGATIVE, -1.0, 0.0, True, False),
+        (Sign.NONNEGATIVE, 0.0, 0.0, False, True),
+        (Sign.NONNEGATIVE, 1.0, 0.0, False, True),
+    ]
+
+    @pytest.mark.parametrize("claimed", list(Sign))
+    def test_boundary_table(self, claimed):
+        rows = [r[1:] for r in self.TABLE if r[0] is claimed]
+        for value, err, violated, holds in rows:
+            assert claimed.violated(value, err) is violated, (value, err)
+            assert claimed.holds(value, err) is holds, (value, err)
+        values, errs, violated, holds = (np.array(c) for c in zip(*rows))
+        np.testing.assert_array_equal(claimed.violated(values, errs), violated)
+        np.testing.assert_array_equal(claimed.holds(values, errs), holds)
+
+
 class TestAccumulate:
     def test_two_term_arithmetic(self):
         state = SumState(alpha=0.5, upto=1, value=1.0)
@@ -451,6 +484,24 @@ class TestScanSign:
         resumed = scan_sign(*args, **kwargs)
         assert resumed == scan_sign(*args, segment_size=2 ** 14)
         assert (resumed.first_violation is None) == (alpha == 0.5)
+
+    @pytest.mark.parametrize("x_hi, written", [(10_000, [3000, 5000, 8000]), (8000, [3000, 5000])])
+    def test_checkpoint_cadence(self, x_hi, written, tmp_path, monkeypatch):
+        # one write at the first block end past each multiple of
+        # checkpoint_every, and none at x_hi, where the scan is done
+        seen = []
+        write = partial_sum._write_checkpoint
+
+        def spy(path, scan, state, tally):
+            seen.append(state.upto)
+            write(path, scan, state, tally)
+
+        monkeypatch.setattr(partial_sum, "_write_checkpoint", spy)
+        scan_sign(
+            1, x_hi, 0.5, Sign.NONPOSITIVE,
+            segment_size=1000, checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=2500,
+        )
+        assert seen == written
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"

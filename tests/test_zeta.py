@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_sums.zeta import (
+    _COEFF,
     BERNOULLI_2K,
+    MAX_M,
     ComplexValue,
+    _tail_factor,
     em_params,
     zeta,
     zeta_prime,
@@ -47,6 +50,34 @@ class TestEmParams:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             em_params(2, 0.0)
+
+    def test_matches_guard_rebuilt_per_m(self):
+        # em_params extends the guard product two factors per M; the rule as
+        # first written rebuilt it for every M; both must pick the same (N, M)
+        def rebuilt(s, target_eps):
+            N = max(10, math.ceil(abs(s.imag)))
+            while True:
+                for M in range(1, MAX_M + 1):
+                    rising = 1.0
+                    for j in range(2 * M + 1):
+                        rising *= abs(complex(s.real + j, s.imag)) + 1.0
+                    mag = abs(_COEFF[M + 1]) * rising * N ** (-s.real - 2 * M - 1)
+                    if mag * _tail_factor(s.real, M, s) <= target_eps:
+                        return N, M
+                if N > 2 ** 24:
+                    return N, MAX_M
+                N *= 2
+
+        ts = (1.0, 14.134725141734693, 100.0, 1234.5, 1.0e4)
+        points = [0j, 2 + 0j, complex(-5, 3)]
+        points += [complex(0.5, t) for t in ts] + [complex(1.0, 2.0 * t) for t in ts]
+        doubled = 0
+        for target in (1e-12, 1e-15, 1e-20, 1e-30):
+            for s in points:
+                got = em_params(s, target)
+                assert got == rebuilt(s, target), f"s={s}, target={target}"
+                doubled += got[0] > max(10, math.ceil(abs(s.imag)))
+        assert doubled  # 1e-30 takes the N-doubling branch; the larger targets do not
 
 
 class TestZeta:
