@@ -66,8 +66,10 @@ The phase term grows with u: at u = 1000 over the 1000 bundled zeros
 (T = 1420, alpha = 1/2) it is 2.1e-10, against 4.4e-11 for the residues and
 3.7e-13 for the arithmetic.
 
-AuxPolynomial is immutable after build; evaluate_at is pure; grid scans may
-be partitioned across workers and merged associatively.
+AuxPolynomial is immutable after build; evaluate_at is pure.  scan_u
+evaluates the grid in chunks of _CHUNK points and carries the last point of
+each chunk into the next, so a sign change across a chunk boundary is found
+by the same test as one inside a chunk.
 """
 
 from __future__ import annotations
@@ -108,10 +110,6 @@ _EXP_MAX = 709.0
 AUX_TRACE_HEADER = "u,X_equiv,value"
 
 
-def _zeta_half() -> float:
-    return zeta(0.5).re
-
-
 def residue_r0(alpha: float) -> float:
     """Constant term of the auxiliary polynomial.
 
@@ -126,7 +124,7 @@ def residue_r0(alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    zh = _zeta_half()
+    zh = zeta(0.5).re
     if alpha == 0.5:
         return EULER_GAMMA / zh
     base = 1.0 / ((1.0 - 2.0 * alpha) * zh)
@@ -237,15 +235,13 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
     """
     if not T > 0.0:
         raise ValueError(f"cutoff T must be positive, got {T}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    r0 = residue_r0(alpha)
     if T > zeros.gammas[-1] + 1.0:
         warnings.warn(
             f"cutoff T={T} exceeds table coverage (largest ordinate "
             f"{zeros.gammas[-1]}); terms above the table are missing",
             stacklevel=2,
         )
-    r0 = residue_r0(alpha)
     terms = []
     for g in zeros.below(T):
         rn = residue_rn(g, alpha)
@@ -329,6 +325,11 @@ def _x_equiv(u: float) -> Optional[float]:
     return math.exp(u) if u <= _EXP_MAX else None
 
 
+def _extremum(us: np.ndarray, vs: np.ndarray, i: int) -> ScanExtremum:
+    u = float(us[i])
+    return ScanExtremum(u=u, value=float(vs[i]), x_equiv=_x_equiv(u))
+
+
 def scan_u(
     poly: AuxPolynomial,
     u_lo: float,
@@ -387,13 +388,12 @@ def scan_u(
     if trace is not None:
         trace.write(AUX_TRACE_HEADER + "\n")
 
-    best_max = -math.inf
-    best_max_u = u_lo
-    best_min = math.inf
-    best_min_u = u_lo
+    # a chunk replaces an extreme only when strictly beyond it: earliest u on ties
+    maximum = ScanExtremum(u=u_lo, value=-math.inf, x_equiv=_x_equiv(u_lo))
+    minimum = ScanExtremum(u=u_lo, value=math.inf, x_equiv=_x_equiv(u_lo))
     changes: list[tuple[float, float]] = []
-    prev_u: Optional[float] = None
-    prev_v: Optional[float] = None
+    # the previous chunk's last grid point (none before the first chunk)
+    last_u = last_v = np.empty(0)
 
     for start in range(0, n_points, _CHUNK):
         count = min(_CHUNK, n_points - start)
@@ -402,31 +402,25 @@ def scan_u(
         vs = _grid_values(poly.r0, gammas, coeffs, table, us)
 
         i_max = int(np.argmax(vs))
-        if float(vs[i_max]) > best_max:
-            best_max = float(vs[i_max])
-            best_max_u = float(us[i_max])
+        if vs[i_max] > maximum.value:
+            maximum = _extremum(us, vs, i_max)
         i_min = int(np.argmin(vs))
-        if float(vs[i_min]) < best_min:
-            best_min = float(vs[i_min])
-            best_min_u = float(us[i_min])
+        if vs[i_min] < minimum.value:
+            minimum = _extremum(us, vs, i_min)
 
-        # Sign changes, including across the chunk boundary.
-        signs = np.sign(vs)
-        if prev_v is not None:
-            if prev_v * float(vs[0]) < 0.0:
-                changes.append((prev_u, float(us[0])))
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-        changes.extend((float(us[i]), float(us[i + 1])) for i in flips)
-        exact_zeros = np.nonzero(signs == 0.0)[0]
-        changes.extend((float(us[i]), float(us[i])) for i in exact_zeros)
+        # Strict sign flips between consecutive points, the carried point first.
+        su = np.concatenate((last_u, us))
+        s = np.sign(np.concatenate((last_v, vs)))
+        flips = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+        changes.extend(zip(su[flips].tolist(), su[flips + 1].tolist()))
+        changes.extend((u, u) for u in us[vs == 0.0].tolist())
 
         if trace is not None:
             for u, v in zip(us.tolist(), vs.tolist()):
                 x = _x_equiv(u)
                 trace.write(f"{u!r},{'' if x is None else repr(x)},{v!r}\n")
 
-        prev_u = float(us[-1])
-        prev_v = float(vs[-1])
+        last_u, last_v = us[-1:], vs[-1:]
 
     return UScanReport(
         alpha=poly.alpha,
@@ -435,7 +429,7 @@ def scan_u(
         u_hi=u_hi,
         step=step,
         n_points=n_points,
-        maximum=ScanExtremum(u=best_max_u, value=best_max, x_equiv=_x_equiv(best_max_u)),
-        minimum=ScanExtremum(u=best_min_u, value=best_min, x_equiv=_x_equiv(best_min_u)),
+        maximum=maximum,
+        minimum=minimum,
         sign_changes=tuple(sorted(changes)),
     )

@@ -428,7 +428,7 @@ def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path!r} must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unrecognized checkpoint file {path!r}")
+        raise ValueError(f"checkpoint {path!r}: unrecognized format or version")
     for key, want in scan.items():
         if payload.get(key) != want:
             raise ValueError(
@@ -572,6 +572,8 @@ def scan_sign(
             # at the first block end past each multiple of checkpoint_every
             crossed = state.upto // checkpoint_every > intervals_before
             if checkpoint_path and crossed and state.upto < x_hi:
+                if trace_fh is not None:
+                    trace_fh.flush()  # the rows through state.upto are on disk first
                 _write_checkpoint(checkpoint_path, scan, state, tally)
 
     return SignReport(
@@ -627,9 +629,10 @@ def _confirm_in_block(
 
     start is the state carried at the start of the violation's block and terms
     (with their weights) run from that block's first integer to X, so the fold
-    into a copy does the arithmetic of evaluate(X, alpha, segment_size).  The
-    scan's per-X bound is deliberately loose; this guards against the (never
-    observed) case of a violation flagged purely by bound slack.
+    into a copy does the arithmetic of evaluate(X, alpha, segment_size).  Slack
+    in the scan's per-X bound can only hide a violation, never invent one; this
+    guards against a per-X bound that is too small, or a mislabelled X (never
+    observed outside tests).
     """
     check = _fold(dataclasses.replace(start), terms, weights)
     x, value, err = check.upto, check.total(), check.err_bound

@@ -17,7 +17,7 @@ locale-dependent separators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -143,12 +143,7 @@ def bundled_zero_table() -> ZeroTable:
     """The table of the first 1000 ordinates shipped with the package."""
     ref = resources.files("liouville_sums").joinpath("data/zeta_zeros_1000.txt")
     with resources.as_file(ref) as path:
-        table = load_zeros(path)
-    return ZeroTable(
-        gammas=table.gammas,
-        source="bundled:zeta_zeros_1000.txt",
-        stated_precision=table.stated_precision,
-    )
+        return replace(load_zeros(path), source="bundled:zeta_zeros_1000.txt")
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,6 @@ def validate_zero(gamma: float, tol: float = DEFAULT_VALIDATE_TOL) -> Validation
     """
     if gamma <= 0:
         raise ValueError(f"ordinate must be positive, got {gamma}")
-    if gamma > SUPPORTED_IM_MAX:
-        raise ValueError(f"ordinate {gamma} exceeds supported height {SUPPORTED_IM_MAX}")
     residual = abs(zeta(complex(0.5, gamma)).value)
     return ValidationResult(gamma=gamma, residual=residual, tol=tol, passed=residual <= tol)
 
@@ -193,12 +186,11 @@ def refine_zero(gamma0: float) -> float:
 
     Raises:
         ValueError: if the residual after refinement exceeds 1e-6 (the seed
-            was not near a zero), or gamma0 is out of range.
+            was not near a zero), gamma0 is not positive, or the bracket
+            reaches above the height zeta supports.
     """
     if gamma0 <= 0:
         raise ValueError(f"ordinate must be positive, got {gamma0}")
-    if gamma0 > SUPPORTED_IM_MAX:
-        raise ValueError(f"ordinate {gamma0} exceeds supported height {SUPPORTED_IM_MAX}")
 
     def f(t: float) -> float:
         v = zeta(complex(0.5, t)).value

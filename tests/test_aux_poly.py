@@ -1,7 +1,10 @@
 import cmath
+import dataclasses
 import io
 import math
 import random
+import re
+import warnings
 
 import pytest
 
@@ -143,6 +146,14 @@ class TestBuildPolynomial:
         with pytest.warns(UserWarning, match="coverage"):
             build_polynomial(table100, table100.gammas[-1] + 50.0, 0.5)
 
+    def test_rejects_bad_alpha_before_coverage_warning(self, table100):
+        # the coverage warning is for a valid alpha only
+        for T in (100.0, table100.gammas[-1] + 50.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
+                    build_polynomial(table100, T, 1.5)
+
     def test_weights_decrease_and_bounded(self, poly_half):
         ws = [t.weight for t in poly_half.terms]
         assert all(0.0 < w <= 1.0 for w in ws)
@@ -159,6 +170,28 @@ class TestBuildPolynomial:
             assert ts.gamma == tl.gamma
             assert ts.residue == tl.residue
             assert tl.weight > ts.weight  # same gamma, larger T
+
+
+class TestAuxPolynomial:
+    TERM = AuxTerm(gamma=14.134725141735, residue=0.1 + 0.2j, weight=0.5, residue_err=0.0)
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [
+            ((TERM, TERM), "term ordinate 14.134725141735 out of order"),
+            ((dataclasses.replace(TERM, gamma=30.0),), "term ordinate 30.0 out of order or >= cutoff"),
+            ((dataclasses.replace(TERM, weight=0.0),), "weight 0.0 at gamma=14.134725141735 invalid"),
+            ((dataclasses.replace(TERM, weight=1.5),), "weight 1.5 at gamma=14.134725141735 invalid"),
+            (
+                (TERM, dataclasses.replace(TERM, gamma=21.022039638772)),
+                "weight 0.5 at gamma=21.022039638772 invalid",
+            ),
+        ],
+        ids=["repeated-ordinate", "at-cutoff", "zero-weight", "weight-above-one", "weight-not-decreasing"],
+    )
+    def test_rejects_bad_terms(self, terms, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            AuxPolynomial(alpha=0.5, cutoff=30.0, r0=-0.25, terms=terms)
 
 
 class TestEvaluateAt:
@@ -241,6 +274,15 @@ class TestScanU:
         assert_matches_evaluate_at(poly_half, points)
         assert rep.sign_changes == whole.sign_changes
         assert (rep.maximum.u, rep.minimum.u) == (whole.maximum.u, whole.minimum.u)
+
+    def test_flip_across_chunk_boundary(self, poly_half, monkeypatch):
+        whole = scan_u(poly_half, 0, 30, 0.01)
+        lo, hi = next((lo, hi) for lo, hi in whole.sign_changes if lo < hi)
+        # the first chunk ends at lo, so the flip spans two chunks
+        monkeypatch.setattr(aux_poly, "_CHUNK", round(lo / 0.01) + 1)
+        rep = scan_u(poly_half, 0, 30, 0.01)
+        assert (lo, hi) in rep.sign_changes
+        assert rep.sign_changes == whole.sign_changes
 
     def test_long_range_matches_evaluate_at(self, poly_half):
         rep, points = scanned_points(poly_half, 0.0, 1000.0, 0.13)

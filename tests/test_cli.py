@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from liouville_sums import partial_sum
 from liouville_sums.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
@@ -40,6 +41,26 @@ class TestVerifyCommand:
         )
         assert rc == EXIT_VIOLATION
         assert "first violation at X=1" in capsys.readouterr().out
+
+    def test_indeterminate_exit(self, tmp_path, capsys, monkeypatch):
+        # mark the first classified X (17, which conforms) as indeterminate
+        real = partial_sum._classify_arrays
+
+        def mark_first(values, errs, claimed):
+            violating, indeterminate = real(values, errs, claimed)
+            indeterminate[0] = True
+            return violating, indeterminate
+
+        monkeypatch.setattr(partial_sum, "_classify_arrays", mark_first)
+        report = tmp_path / "r.json"
+        rc = main(
+            ["verify", "--alpha", "0.5", "--from", "17", "--to", "1000", "--report", str(report)]
+        )
+        assert rc == EXIT_INDETERMINATE
+        assert "FAILED (0 violations, 1 indeterminate)" in capsys.readouterr().out
+        r = json.loads(report.read_text())["report"]
+        assert (r["indeterminate"], r["violations"]) == (1, 0)
+        assert r["first_violation"] is None and r["ok"] is False
 
     def test_artifacts_written(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -164,13 +185,16 @@ class TestMalformedCheckpoint:
                 _tally(argmax=32769),
                 ["tally.argmax = 32769 is outside [x_lo, state.upto] = [17, 32768]"],
             ),
+            (lambda p: {**p, "format": "other"}, ["unrecognized format or version"]),
+            (lambda p: {**p, "version": p["version"] + 1}, ["unrecognized format or version"]),
+            (lambda p: {**p, "state": [1]}, ["state must be a JSON object, got [1]"]),
         ],
         ids=[
             "array", "missing-tally-field", "extra-state-field", "number-for-hex", "bool-upto",
             "upto-past-x_hi", "upto-off-block", "not-json", "not-utf8", "negative-violations",
             "negative-indeterminate", "counts-past-range", "violations-without-first",
             "first-without-violations", "first-violation-past-upto", "argmin-below-x_lo",
-            "argmax-past-upto",
+            "argmax-past-upto", "wrong-format", "wrong-version", "state-not-object",
         ],
     )
     def test_rejected_with_error_line(self, corrupt, fragments, tmp_path, capsys):

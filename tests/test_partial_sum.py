@@ -503,6 +503,29 @@ class TestScanSign:
         )
         assert seen == written
 
+    def test_trace_on_disk_at_each_checkpoint(self, tmp_path, monkeypatch):
+        # a scan killed after a checkpoint resumes past the rows it names,
+        # so they must be on disk before it is written
+        trace = tmp_path / "trace.csv"
+        on_disk = []
+        write = partial_sum._write_checkpoint
+
+        def spy(path, scan, state, tally):
+            on_disk.append((state.upto, trace.read_text()))
+            write(path, scan, state, tally)
+
+        monkeypatch.setattr(partial_sum, "_write_checkpoint", spy)
+        scan_sign(
+            1, 300_000, 0.5, Sign.NONPOSITIVE, segment_size=16384,
+            trace_path=str(trace), trace_every=1000,
+            checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=50_000,
+        )
+        header, *rows = trace.read_text().splitlines()
+        assert [upto for upto, _ in on_disk] == [65536, 114688, 163840, 212992, 262144]
+        for upto, text in on_disk:
+            through = [r for r in rows if int(r.split(",")[0]) <= upto]
+            assert text.splitlines() == [header, *through], upto
+
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"
         scan_sign(

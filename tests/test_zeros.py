@@ -44,6 +44,13 @@ class TestLoadZeros:
         with pytest.raises(ValueError, match="no ordinates"):
             load_zeros(p)
 
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_line_reports_line(self, tmp_path, word):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"14.134725\n{word}\n")
+        with pytest.raises(ValueError, match=f"bad.txt:2: non-finite ordinate '{word}'"):
+            load_zeros(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_zeros(tmp_path / "nope.txt")
@@ -115,6 +122,13 @@ class TestRefineZero:
     def test_no_zero_nearby(self):
         with pytest.raises(ValueError, match="no zero near"):
             refine_zero(15.0)
+
+    def test_rejects_nonpositive_and_tall(self):
+        for gamma0 in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                refine_zero(gamma0)
+        with pytest.raises(ValueError, match=r"\|Im s\| = \S+ exceeds the supported height"):
+            refine_zero(2.0e4)
 
     def test_idempotent(self):
         g = refine_zero(14.13)

@@ -102,6 +102,8 @@ class TestZeta:
             zeta(1)
         with pytest.raises(ValueError):
             zeta(complex(0.5, 2e4))
+        with pytest.raises(ValueError, match="Re s = -10.5 below the supported minimum"):
+            zeta(complex(-10.5, 3.0))
 
     def test_eta_cross_check_random_points(self):
         rng = random.Random(20240811)
