@@ -110,6 +110,12 @@ _EXP_MAX = 709.0
 AUX_TRACE_HEADER = "u,X_equiv,value"
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise a ValueError unless alpha lies in [0, 1], where the residues are derived."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def residue_r0(alpha: float) -> float:
     """Constant term of the auxiliary polynomial.
 
@@ -122,8 +128,7 @@ def residue_r0(alpha: float) -> float:
     Raises:
         ValueError: alpha outside [0, 1].
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     zh = zeta(0.5).re
     if alpha == 0.5:
         return EULER_GAMMA / zh
@@ -152,8 +157,7 @@ def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
         ValueError: alpha out of range, gamma_n not positive or not a zero
             ordinate, or |zeta'| below the simplicity floor.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not gamma_n > 0.0:
         raise ValueError(f"ordinate must be positive, got {gamma_n}")
     z, dz = zeta_with_prime(complex(0.5, gamma_n))

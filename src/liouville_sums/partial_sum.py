@@ -46,6 +46,37 @@ which is far looser than the carried Neumaier bound but still many orders
 below the observed values.  The first violation found by the scan is
 confirmed with the tight accumulator, resumed from the state carried at the
 start of its block.
+
+Per-X bounds and the block bound.  A block of N weights w_i = 1/n^alpha
+follows a carried state with total `carry` and bound E.  The scan's value at
+the block's j-th integer (j = 1..N) is fl(carry + c_j), c_j the float prefix
+sums of the terms, and its bound is the binary64 evaluation, in this order, of
+
+  e_j = E + eps ((j + 1 + K) C_j + |carry|),
+
+C_j the float prefix sums of the weights (_per_x_errs).  The C_j never
+decrease, because fl(a + w) >= a for w >= 0, and every operation of e_j is
+rounded to nearest, hence monotone, on nonnegative operands; so e_j <= e_N
+for every j.  The fold already takes S, the float (pairwise) sum of the same
+N weights.  Any order of summing N nonnegative numbers lands within a
+relative gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) of their exact sum s, so
+
+  C_N <= (1 + gamma) s <= S (1 + gamma) / (1 - gamma) < S (1 + 2^-26),
+
+since N <= 2^25 puts gamma below 2^-28 (1 + 2^-27).  The float
+C* = fl(S (1 + 2^-25)) >= S (1 + 2^-25)(1 - u) exceeds that, and e_N
+evaluated with C* in place of C_N is the scalar errmax >= every e_j (again by
+monotone rounding; _block_errmax).  At alpha = 0 every e_j is 0 and so is
+errmax.
+
+A block is classified from that one scalar.  For a NONPOSITIVE claim,
+fl(max v + errmax) <= 0 implies fl(v_j + e_j) <= 0 at every X of the block
+(and fl(min v - errmax) >= 0 likewise for NONNEGATIVE), so every X conforms
+and the per-X arrays are never built.  Only a block that fails this test
+(one holding a violation, an indeterminate X or a value within errmax of the
+claim's boundary) builds e_j at each X and classifies X by X, with the
+outcome the per-X test alone would give.  A traced scan evaluates e_j from
+the same expression at the rows it writes only.
 """
 
 from __future__ import annotations
@@ -149,13 +180,17 @@ def _block_terms(block: LambdaBlock, alpha: float) -> tuple[np.ndarray, Optional
     """
     if alpha == 0.0:
         return block.values, None
-    n = np.arange(block.lo, block.hi + 1, dtype=np.float64)
+    # built in place, bit for bit 1/sqrt(n), 1/n and exp(-alpha * log(n))
+    weights = np.arange(block.lo, block.hi + 1, dtype=np.float64)
     if alpha == 0.5:
-        weights = 1.0 / np.sqrt(n)
+        np.sqrt(weights, out=weights)
+        np.divide(1.0, weights, out=weights)
     elif alpha == 1.0:
-        weights = 1.0 / n
+        np.divide(1.0, weights, out=weights)
     else:
-        weights = np.exp(-alpha * np.log(n))
+        np.log(weights, out=weights)
+        weights *= -alpha
+        np.exp(weights, out=weights)
     return block.values * weights, weights
 
 
@@ -188,14 +223,19 @@ def _two_sum_cascade(x: np.ndarray) -> float:
     return float(x[0]) + err
 
 
-def _fold(state: SumState, terms: np.ndarray, weights: Optional[np.ndarray]) -> SumState:
+def _fold(
+    state: SumState,
+    terms: np.ndarray,
+    weights: Optional[np.ndarray],
+    weight_sum: Optional[float] = None,
+) -> SumState:
     """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
 
-    weights are |terms| as returned by _block_terms.  At alpha = 0 the terms
-    are int8 and their sum is taken in int64, so no float array is involved;
-    the sum is exact because every quantity is an integer below 2^53.
-    Otherwise the block sum is _two_sum_cascade's.  Mutates and returns
-    state.
+    weights are |terms| as returned by _block_terms, and weight_sum, when
+    given, is float(np.sum(weights)).  At alpha = 0 the terms are int8 and
+    their sum is taken in int64, so no float array is involved; the sum is
+    exact because every quantity is an integer below 2^53.  Otherwise the
+    block sum is _two_sum_cascade's.  Mutates and returns state.
     """
     hi = state.upto + len(terms)
     if weights is None:
@@ -203,7 +243,7 @@ def _fold(state: SumState, terms: np.ndarray, weights: Optional[np.ndarray]) -> 
         block_abs = len(terms)
     else:
         block_sum = _two_sum_cascade(terms)
-        block_abs = float(np.sum(weights))
+        block_abs = float(np.sum(weights)) if weight_sum is None else weight_sum
         k = _term_error_constant(state.alpha, hi)
         state.err_bound += EPS * (k + 4.0) * block_abs
 
@@ -305,6 +345,34 @@ class SignReport:
             "claimed_sign": self.claimed_sign.value,
             "ok": self.ok(),
         }
+
+
+def _per_x_errs(err_bound: float, carry: float, k: float, i, cum_weights):
+    """The scan's bound e_j on its value at block position i = j - 1 (module docstring).
+
+    cum_weights is the float prefix sum of the block's weights through i,
+    carry the carried total before the block, err_bound its bound and k
+    _term_error_constant's.  Floats, or elementwise on arrays.
+    """
+    return err_bound + EPS * ((i + 2.0 + k) * cum_weights + abs(carry))
+
+
+def _block_errmax(err_bound: float, carry: float, k: float, n: int, weight_sum: float) -> float:
+    """At least every _per_x_errs of a block of n weights whose float sum is weight_sum.
+
+    The bound is e_N with C* = fl(weight_sum * (1 + 2^-25)) for the last
+    prefix sum C_N; the module docstring proves C* >= C_N for n <= 2^25.
+    """
+    return _per_x_errs(err_bound, carry, k, n - 1, weight_sum * (1.0 + 2.0 ** -25))
+
+
+def _block_conforms(extreme: float, errmax: float, claimed: Sign) -> bool:
+    """True when every X of a block conforms, judged from one scalar bound.
+
+    extreme is the block's largest value for NONPOSITIVE and its smallest for
+    NONNEGATIVE; errmax is at least every per-X bound of the block.
+    """
+    return bool(claimed.holds(extreme, errmax))
 
 
 def _classify_arrays(
@@ -465,10 +533,13 @@ def scan_sign(
 
     The sum always starts at n = 1; integers below x_lo are accumulated but
     not classified.  Each block is sieved and its terms computed once; at
-    alpha = 0 they stay integers.  The first violation is confirmed with the
-    tight compensated accumulator, resumed from the state carried at the
-    start of its block, before the scan moves on (skipped for alpha = 0,
-    where arithmetic is exact).  Resumed scans keep the same block
+    alpha = 0 they stay integers.  A block whose extreme value clears one
+    scalar bound errmax, at least every per-X bound of the block, conforms
+    at every X; only a block that fails that test has its per-X bounds built
+    and each X classified (module docstring).  The first violation is
+    confirmed with the tight compensated accumulator, resumed from the state
+    carried at the start of its block, before the scan moves on (skipped for
+    alpha = 0, where arithmetic is exact).  Resumed scans keep the same block
     boundaries, because the checkpoint pins segment_size, so the confirmed
     value is the one evaluate(X, alpha, segment_size) returns.
 
@@ -521,34 +592,17 @@ def scan_sign(
 
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
             terms, weights = _block_terms(block, alpha)
+            weight_sum = None if weights is None else float(np.sum(weights))
 
             # Classify only the part of the block inside [x_lo, x_hi].
             start_i = max(0, x_lo - block.lo)
             if start_i < len(terms):
-                carry = state.total()
-                if weights is None:
-                    values = carry + np.cumsum(terms, dtype=np.int64)  # carry is an exact small integer
-                    errs = np.broadcast_to(0.0, values.shape)
-                else:
-                    values = carry + np.cumsum(terms)
-                    k = _term_error_constant(alpha, block.hi)
-                    j = np.arange(1, len(values) + 1, dtype=np.float64)
-                    errs = state.err_bound + EPS * ((j + 1.0 + k) * np.cumsum(weights) + abs(carry))
+                carry, err_bound = state.total(), state.err_bound
+                # exact at alpha = 0: carry and the prefix sums are integers below 2^53
+                values = np.cumsum(terms, dtype=np.float64)
+                values += carry
                 xs0 = block.lo + start_i
                 v = values[start_i:]
-                e = errs[start_i:]
-                violating, indeterminate = _classify_arrays(v, e, claimed_sign)
-
-                n_viol = int(np.count_nonzero(violating))
-                if n_viol and tally.first_violation is None:
-                    i = start_i + int(np.argmax(violating))
-                    tally.first_violation = block.lo + i
-                    if weights is not None:
-                        _confirm_in_block(
-                            state, terms[: i + 1], weights[: i + 1], claimed_sign
-                        )
-                tally.violations += n_viol
-                tally.indeterminate += int(np.count_nonzero(indeterminate))
 
                 i_min = int(np.argmin(v))
                 if float(v[i_min]) < tally.min_value:
@@ -559,14 +613,46 @@ def scan_sign(
                     tally.max_value = float(v[i_max])
                     tally.argmax = xs0 + i_max
 
+                if weights is None:
+                    errmax = 0.0
+
+                    def errs_at(r):
+                        return np.zeros(len(r))
+                else:
+                    k = _term_error_constant(alpha, block.hi)
+                    errmax = _block_errmax(err_bound, carry, k, len(terms), weight_sum)
+
+                    def errs_at(r):
+                        i = start_i + r
+                        return _per_x_errs(err_bound, carry, k, i, np.cumsum(weights)[i])
+
+                extreme = v[i_max] if claimed_sign is Sign.NONPOSITIVE else v[i_min]
+                if _block_conforms(float(extreme), errmax, claimed_sign):
+                    violating = indeterminate = np.broadcast_to(False, v.shape)
+                else:
+                    violating, indeterminate = _classify_arrays(
+                        v, errs_at(np.arange(len(v))), claimed_sign
+                    )
+                    n_viol = int(np.count_nonzero(violating))
+                    if n_viol and tally.first_violation is None:
+                        i = start_i + int(np.argmax(violating))
+                        tally.first_violation = block.lo + i
+                        if weights is not None:
+                            _confirm_in_block(
+                                state, terms[: i + 1], weights[: i + 1], claimed_sign
+                            )
+                    tally.violations += n_viol
+                    tally.indeterminate += int(np.count_nonzero(indeterminate))
+
                 if trace_fh is not None:
                     _emit_trace_rows(
-                        trace_fh, alpha, trace_every, xs0, v, e, violating, indeterminate,
+                        trace_fh, alpha, trace_every, xs0, v, errs_at, violating, indeterminate,
                         x_lo, x_hi,
                     )
+                del values, v  # 8 MB less alongside the fold's cascade
 
             intervals_before = state.upto // checkpoint_every
-            _fold(state, terms, weights)
+            _fold(state, terms, weights, weight_sum)
             if progress is not None:
                 progress(state.upto)
             # at the first block end past each multiple of checkpoint_every
@@ -575,6 +661,7 @@ def scan_sign(
                 if trace_fh is not None:
                     trace_fh.flush()  # the rows through state.upto are on disk first
                 _write_checkpoint(checkpoint_path, scan, state, tally)
+            del terms, weights  # freed before the next block is sieved
 
     return SignReport(
         alpha=alpha,
@@ -599,7 +686,7 @@ def _emit_trace_rows(
     every: int,
     xs0: int,
     values: np.ndarray,
-    errs: np.ndarray,
+    errs_at: Callable[[np.ndarray], np.ndarray],
     violating: np.ndarray,
     indeterminate: np.ndarray,
     x_lo: int,
@@ -607,16 +694,18 @@ def _emit_trace_rows(
 ) -> None:
     """Write the rows of the multiples of every, the range ends and every flagged X.
 
-    Row i is X = xs0 + i, with full round-trip precision.
+    Row i is X = xs0 + i, with full round-trip precision; errs_at(rows) gives
+    the per-X bounds at the rows written, and is called once.
     """
     n = len(values)
     stride = np.arange(-xs0 % every, n, every)
     ends = np.array([0, n - 1])[[xs0 == x_lo, xs0 + n - 1 == x_hi]]
     rows = np.unique(np.concatenate((stride, np.flatnonzero(violating | indeterminate), ends)))
+    errs = errs_at(rows)
     for i in range(0, len(rows), _TRACE_CHUNK):
         r = rows[i : i + _TRACE_CHUNK]
         labels = (2 * violating[r] + indeterminate[r]).tolist()
-        xs, vs, es = (xs0 + r).tolist(), values[r].tolist(), errs[r].tolist()
+        xs, vs, es = (xs0 + r).tolist(), values[r].tolist(), errs[i : i + _TRACE_CHUNK].tolist()
         fh.write("".join(
             f"{x},{alpha!r},{v!r},{e!r},{_TRACE_LABELS[c]}\n" for x, v, e, c in zip(xs, vs, es, labels)
         ))

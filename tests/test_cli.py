@@ -52,6 +52,8 @@ class TestVerifyCommand:
             return violating, indeterminate
 
         monkeypatch.setattr(partial_sum, "_classify_arrays", mark_first)
+        # X = 17's block conforms by its scalar bound; make it reach the per-X arrays
+        monkeypatch.setattr(partial_sum, "_block_conforms", lambda *args: False)
         report = tmp_path / "r.json"
         rc = main(
             ["verify", "--alpha", "0.5", "--from", "17", "--to", "1000", "--report", str(report)]

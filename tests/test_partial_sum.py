@@ -170,6 +170,50 @@ class TestBlockSum:
         assert seen == [(5003, *evaluate(5003, alpha, seg))]
 
 
+class TestBlockBound:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("lo, n", [(1, 7), (1, 2 ** 14), (999_983, 1000), (10 ** 9, 2 ** 12)])
+    def test_block_terms_bit_identical(self, alpha, lo, n):
+        # the weights built in place equal the plain expressions bit for bit
+        values = sieve_segment(lo, lo + n - 1).values
+        terms, weights = partial_sum._block_terms(LambdaBlock(lo, values), alpha)
+        x = np.arange(lo, lo + n, dtype=np.float64)
+        want = {0.5: 1 / np.sqrt(x), 1.0: 1 / x}.get(alpha, np.exp(-alpha * np.log(x)))
+        assert np.array_equal(weights.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(terms.view(np.uint64), (values * want).view(np.uint64))
+
+    def test_errmax_bounds_every_per_x_err(self):
+        # blocks where the pairwise sum the fold takes falls below, and above,
+        # the last sequential prefix sum of the weights: errmax still bounds
+        # every per-X bound, which would fail at a block below without the slack
+        below = above = unslacked_short = 0
+        for alpha in (0.25, 0.5, 0.75, 1.0):
+            for lo, n in [(1, 2 ** 20), (17, 7), (10 ** 6, 777), (10 ** 8, 2 ** 16), (3, 2 ** 18)]:
+                _, weights = partial_sum._block_terms(LambdaBlock(lo, np.ones(n, np.int8)), alpha)
+                k = partial_sum._term_error_constant(alpha, lo + n - 1)
+                cum = np.cumsum(weights)
+                total = float(np.sum(weights))
+                below += total < cum[-1]
+                above += total > cum[-1]
+                for err_bound, carry in [(0.0, 0.0), (3e-13, -2.75), (1e-9, 0.5)]:
+                    errs = partial_sum._per_x_errs(err_bound, carry, k, np.arange(n), cum)
+                    errmax = partial_sum._block_errmax(err_bound, carry, k, n, total)
+                    assert errmax >= errs.max(), (alpha, lo, n, err_bound, carry)
+                    unslacked = partial_sum._per_x_errs(err_bound, carry, k, n - 1, total)
+                    unslacked_short += unslacked < errs.max()
+        assert below and above and unslacked_short
+
+    def test_per_x_errs_is_the_scan_expression(self):
+        # errs_j = E + eps ((j + 1 + K) C_j + |carry|) with j = 1..N, as the
+        # scan built it before it took one scalar per block
+        _, weights = partial_sum._block_terms(LambdaBlock(5000, np.ones(3001, np.int8)), 0.5)
+        k, err_bound, carry = 1.0, 4.5e-14, -1.25
+        j = np.arange(1, len(weights) + 1, dtype=np.float64)
+        want = err_bound + EPS * ((j + 1.0 + k) * np.cumsum(weights) + abs(carry))
+        got = partial_sum._per_x_errs(err_bound, carry, k, np.arange(len(weights)), np.cumsum(weights))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestEvaluate:
     def test_trivial_x1(self):
         value, err = evaluate(1, 0.5)
@@ -357,6 +401,9 @@ class TestScanSign:
             return violating, indeterminate
 
         monkeypatch.setattr(partial_sum, "_classify_arrays", flag_sixth)
+        # a conforming block is settled by its scalar bound; send every block
+        # through the per-X arrays, where the fault is injected
+        monkeypatch.setattr(partial_sum, "_block_conforms", lambda *args: False)
         x, seg = 1005, 2 ** 9
         # the guard recomputes X from the state carried at its block start,
         # with the arithmetic of evaluate(X) at the same segment size
@@ -384,6 +431,8 @@ class TestScanSign:
             return violating, indeterminate
 
         monkeypatch.setattr(partial_sum, "_classify_arrays", spy)
+        # every block reaches the spy, not only those its scalar bound cannot settle
+        monkeypatch.setattr(partial_sum, "_block_conforms", lambda *args: False)
         # rows are written in chunks; make blocks span several, with a partial last one
         monkeypatch.setattr(partial_sum, "_TRACE_CHUNK", 7)
         # a scan from X = 1 that conforms from X = 17 on, and at alpha = 1
@@ -430,6 +479,31 @@ class TestScanSign:
             if alpha == 1.0:
                 assert violating.all() == (claimed is Sign.NONPOSITIVE)
                 assert violating.any() == (claimed is Sign.NONPOSITIVE)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    def test_scalar_block_test_changes_nothing(self, alpha, tmp_path, monkeypatch):
+        # settling a block from its scalar bound only skips per-X work: with
+        # every block sent through the per-X arrays instead, the report and
+        # the trace bytes are the same, for clean, violating and mid-block scans
+        real = partial_sum._block_conforms
+        settled = []
+
+        def spy(*args):
+            settled.append(real(*args))
+            return settled[-1]
+
+        def run(block_conforms, *scan, seg):
+            monkeypatch.setattr(partial_sum, "_block_conforms", block_conforms)
+            trace = tmp_path / "trace.csv"
+            rep = scan_sign(*scan, segment_size=seg, trace_path=str(trace), trace_every=97)
+            return rep, trace.read_bytes()
+
+        for claimed in Sign:
+            for x_lo, x_hi in [(1, 3000), (17, 6000), (1000, 5003)]:
+                for seg in (7, 100, 2 ** 10):
+                    scan = (x_lo, x_hi, alpha, claimed)
+                    assert run(spy, *scan, seg=seg) == run(lambda *args: False, *scan, seg=seg)
+        assert any(settled) and not all(settled)
 
     def test_checkpoint_resume_identical(self, tmp_path):
         # a clean scan and a violating one (alpha = 1 is positive throughout)
