@@ -598,7 +598,9 @@ def scan_sign(
             start_i = max(0, x_lo - block.lo)
             if start_i < len(terms):
                 carry, err_bound = state.total(), state.err_bound
-                # exact at alpha = 0: carry and the prefix sums are integers below 2^53
+                # exact at alpha = 0: carry and the prefix sums are integers below 2^53.
+                # values lives until the next block rebinds it: freed before the fold,
+                # malloc trims the heap and each block faults its 8 MB back in.
                 values = np.cumsum(terms, dtype=np.float64)
                 values += carry
                 xs0 = block.lo + start_i
@@ -649,7 +651,6 @@ def scan_sign(
                         trace_fh, alpha, trace_every, xs0, v, errs_at, violating, indeterminate,
                         x_lo, x_hi,
                     )
-                del values, v  # 8 MB less alongside the fold's cascade
 
             intervals_before = state.upto // checkpoint_every
             _fold(state, terms, weights, weight_sum)
