@@ -4,12 +4,14 @@ The accumulator keeps a compensated floating-point sum together with a
 worst-case rounding-error bound, so sign decisions can be made honestly:
 a value is only called positive or negative when it clears the error bound.
 
-Summation scheme: each block's float terms are summed by a vectorised
-pairwise TwoSum cascade (the error-free transformations of Ogita, Rump and
-Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26 (2005)), and
-blocks are chained with a Neumaier-compensated carry.  For alpha = 0 the
-terms are the int8 values of lambda themselves and each block sum is an
-int64 sum, with no float terms.  The tracked bound covers
+Summation scheme: each block's float terms are summed by Sum2 of Ogita,
+Rump and Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26
+(2005), Algorithm 4.4): the sequential prefix sums s_j = fl(s_{j-1} + x_j)
+of the terms, which a sign scan also needs for its per-X values, plus the
+float sum of the rounding error of each of their additions, recovered
+exactly by TwoSum.  Blocks are chained with a Neumaier-compensated carry.
+For alpha = 0 the terms are the int8 values of lambda themselves and each
+block sum is an int64 sum, with no float terms.  The tracked bound covers
 
   (a) per-term representation error of lambda(n)/n^alpha in binary64,
   (b) the error of each block sum (<= 1 eps of the block magnitude),
@@ -20,30 +22,32 @@ where K(alpha) bounds the per-term relative error in eps units (see
 _term_error_constant).  For alpha = 0 every quantity is an integer below
 2^53, all arithmetic is exact, and the bound stays 0.
 
-Item (b) for the cascade.  Let x_1..x_N be the float terms, s their exact
-sum and u = eps/2.  Every TwoSum turns a + b into fl(a + b) + e exactly,
-with |e| <= u|fl(a + b)|, so after h = ceil(log2 N) levels s = t + E, where
-t is the one value left and E the exact sum of the N - 1 recovered errors.
-Each level's values total at most (1 + u) times the previous level's in
-absolute value, so sum|e| <= h u (1 + u)^h sum|x|.  The errors are added in
-floating point in some order, with error at most gamma_{N-2} sum|e|
-(gamma_n = n u / (1 - n u)), giving E'; then r = fl(t + E') satisfies
+Item (b) for Sum2.  Let x_1..x_N be the float terms, s their exact sum,
+u = eps/2 and gamma_n = n u / (1 - n u).  With s_1 = x_1 and
+s_j = fl(s_{j-1} + x_j), TwoSum gives each e_j = (s_{j-1} + x_j) - s_j
+exactly, so s = s_N + sum_j e_j.  The float sum r of s_N and the e_j, the
+e_j added in any order, satisfies (Ogita, Rump and Oishi, Prop. 4.5)
 
-  |r - s| <= u |s| + (1 + u) gamma_{N-2} h u (1 + u)^h sum|x|.
+  |r - s| <= u |s| + gamma_{N-1}^2 sum|x|.
 
-Blocks hold N <= MAX_SEGMENT_SIZE = 2^25 terms, so h <= 25 and
-gamma_{N-2} < 2^-28, and the second term is below 1e-7 u sum|x|.  Hence
-|r - s| <= (1 + 1e-7) u sum|x| < eps * block_abs_sum: the budget of (b),
-which the correctly rounded fsum used before also met, is unchanged.
-(block_abs_sum is the float sum of the weights 1/n^alpha = |x_i|, itself
-within a relative 2^-28 of sum|x|, well inside the remaining slack.)
+The proof uses only sum|e_j| <= gamma_{N-1} sum|x| and that the float sum
+of the N - 1 errors, in whatever order they are added, is within
+gamma_{N-2} sum|e_j| of their exact sum.  Blocks hold
+N <= MAX_SEGMENT_SIZE = 2^25 terms, so gamma_{N-1} < 2^-28 and
+gamma_{N-1}^2 < u/8.  Hence |r - s| <= (1 + 1/8) u sum|x| < eps *
+block_abs_sum: the budget of (b), which the correctly rounded fsum used
+before also met, is unchanged.  (block_abs_sum is the float sum of the
+weights 1/n^alpha = |x_i|, itself within a relative 2^-28 of sum|x|, well
+inside the remaining slack.)  The proof takes np.cumsum to be the
+sequential recurrence above, as the per-X bounds below also do; the test
+suite checks that it is on the numpy it runs with.
 
 Sign scanning makes one pass per block: it computes the block's terms once,
-evaluates the running sum at every integer X in the block from their prefix
-sums, and folds the same terms into the carried state.  Within a block the
-per-X error bound uses the standard worst case for sequential summation,
-which is far looser than the carried Neumaier bound but still many orders
-below the observed values.  The first violation found by the scan is
+takes their prefix sums once, evaluates the running sum at every integer X
+in the block from them, and folds the block's Sum2 over the same prefix sums
+into the carried state.  Within a block the per-X error bound uses the
+standard worst case for sequential summation, which is far looser than the
+carried Neumaier bound but still many orders below the observed values.  The first violation found by the scan is
 confirmed with the tight accumulator, resumed from the state carried at the
 start of its block.
 
@@ -105,7 +109,7 @@ DEFAULT_TRACE_EVERY = 10_000
 DEFAULT_CHECKPOINT_EVERY = 10 ** 8
 
 CHECKPOINT_FORMAT = "liouville-sums-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 TRACE_HEADER = "X,alpha,value,err_bound,classification"
 
@@ -194,33 +198,29 @@ def _block_terms(block: LambdaBlock, alpha: float) -> tuple[np.ndarray, Optional
     return block.values * weights, weights
 
 
-def _two_sum_cascade(x: np.ndarray) -> float:
-    """Sum of a non-empty float64 array within u|sum| + 1e-7 u sum|x| (module docstring).
+#: TwoSum errors formed per pass of _sum2; bounds the memory of its temporaries.
+_SUM2_CHUNK = 1 << 16
 
-    Pairwise TwoSum: each level adds the first half of the values to the
-    second half, and the rounding error of every addition is recovered
-    exactly (Knuth's TwoSum, branch-free); an odd value out moves up
-    unchanged.  The top value plus the float sum of all recovered errors is
-    returned.
+
+def _sum2(terms: np.ndarray, prefix: np.ndarray) -> float:
+    """Sum of a non-empty float64 array within u|s| + gamma_{N-1}^2 sum|x| (module docstring).
+
+    prefix is np.cumsum(terms), the sequential prefix sums s_j.  The exact
+    error e_j = (s_{j-1} + x_j) - s_j of each addition is recovered by
+    Knuth's branch-free TwoSum, _SUM2_CHUNK additions at a time, and
+    s_N plus the float sum of the errors is returned.
     """
     err = 0.0
-    while len(x) > 1:
-        n = len(x)
-        m = n // 2
-        a, b = x[:m], x[m : 2 * m]
-        s = np.empty(n - m)
-        top = s[:m]
-        np.add(a, b, out=top)
-        bv = top - a  # the part of b that reached top
-        av = top - bv  # the part of a that reached top
+    for lo in range(1, len(terms), _SUM2_CHUNK):
+        s = prefix[lo : lo + _SUM2_CHUNK]
+        a, b = prefix[lo - 1 : lo - 1 + len(s)], terms[lo : lo + len(s)]
+        bv = s - a  # the part of b that reached s
+        av = s - bv  # the part of a that reached s
         np.subtract(a, av, out=av)
         np.subtract(b, bv, out=bv)
         av += bv
         err += float(np.sum(av))
-        if n & 1:
-            s[m] = x[-1]
-        x = s
-    return float(x[0]) + err
+    return float(prefix[-1]) + err
 
 
 def _fold(
@@ -228,21 +228,25 @@ def _fold(
     terms: np.ndarray,
     weights: Optional[np.ndarray],
     weight_sum: Optional[float] = None,
+    block_sum: Optional[float] = None,
 ) -> SumState:
     """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
 
-    weights are |terms| as returned by _block_terms, and weight_sum, when
-    given, is float(np.sum(weights)).  At alpha = 0 the terms are int8 and
-    their sum is taken in int64, so no float array is involved; the sum is
-    exact because every quantity is an integer below 2^53.  Otherwise the
-    block sum is _two_sum_cascade's.  Mutates and returns state.
+    weights are |terms| as returned by _block_terms.  At alpha = 0 the terms
+    are int8 and their sum is taken in int64, so no float array is involved;
+    the sum is exact because every quantity is an integer below 2^53.
+    Otherwise the block sum is _sum2's over the prefix sums np.cumsum(terms).
+    A caller that already holds those prefix sums passes block_sum, and
+    weight_sum = float(np.sum(weights)) when it has taken it; the fold
+    computes what it is not given.  Mutates and returns state.
     """
     hi = state.upto + len(terms)
     if weights is None:
         block_sum = float(np.sum(terms, dtype=np.int64))
         block_abs = len(terms)
     else:
-        block_sum = _two_sum_cascade(terms)
+        if block_sum is None:
+            block_sum = _sum2(terms, np.cumsum(terms))
         block_abs = float(np.sum(weights)) if weight_sum is None else weight_sum
         k = _term_error_constant(state.alpha, hi)
         state.err_bound += EPS * (k + 4.0) * block_abs
@@ -262,10 +266,11 @@ def _fold(
 def accumulate(state: SumState, block: LambdaBlock) -> SumState:
     """Add lambda(n)/n^alpha for every n in the block to the running sum.
 
-    The block sum is exact at alpha = 0; otherwise it is a pairwise TwoSum
-    cascade, within u|s| + 1e-7 u sum|terms| of the exact sum s of the
-    float terms.  It is folded into the state with a Neumaier-compensated
-    addition; err_bound and abs_sum advance per the module's documented bound.
+    The block sum is exact at alpha = 0; otherwise it is Sum2 over the
+    terms' sequential prefix sums, within u|s| + gamma_{N-1}^2 sum|terms|
+    of the exact sum s of the N float terms.  It is folded into the state
+    with a Neumaier-compensated addition; err_bound and abs_sum advance per
+    the module's documented bound.
 
     Args:
         state: running sum; mutated in place and returned.
@@ -444,13 +449,17 @@ def _decode(cls: type, raw, scan: dict, path: str, key: str):
     return cls(**values)
 
 
-def _write_checkpoint(path: str, scan: dict, state: SumState, tally: _ScanTally) -> None:
+def _write_checkpoint(
+    path: str, scan: dict, state: SumState, tally: _ScanTally, trace_bytes: Optional[int]
+) -> None:
+    """Write the scan's state atomically; trace_bytes is the trace's length on disk, or None."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         **scan,
         "state": _encode(state, scan),
         "tally": _encode(tally, scan),
+        "trace_bytes": trace_bytes,
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -487,7 +496,8 @@ def _check_tally(tally: _ScanTally, upto: int, x_lo: int, path: str) -> None:
             fail(name, f"is outside [x_lo, state.upto] = [{x_lo}, {upto}]")
 
 
-def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
+def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally, Optional[int]]:
+    """The state, tally and trace length a checkpoint written for scan holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -513,7 +523,14 @@ def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally]:
         )
     tally = _decode(_ScanTally, payload.get("tally"), scan, path, "tally")
     _check_tally(tally, state.upto, scan["x_lo"], path)
-    return state, tally
+    if "trace_bytes" not in payload:
+        raise ValueError(f"checkpoint {path!r}: trace_bytes is missing")
+    trace_bytes = payload["trace_bytes"]
+    if trace_bytes is not None and (type(trace_bytes) is not int or trace_bytes < 0):
+        raise ValueError(
+            f"checkpoint {path!r}: trace_bytes must be null or an int >= 0, got {trace_bytes!r}"
+        )
+    return state, tally, trace_bytes
 
 
 def scan_sign(
@@ -553,7 +570,8 @@ def scan_sign(
         trace_every: trace sampling stride, >= 1
         checkpoint_path: optional JSON checkpoint rewritten every
             checkpoint_every integers; an existing compatible checkpoint is
-            resumed from
+            resumed from, and an existing trace is first cut back to the
+            length the checkpoint records, so that no row is written twice
         checkpoint_every: checkpoint interval, >= 1
         progress: optional callback invoked with the last integer processed
 
@@ -561,9 +579,10 @@ def scan_sign(
         SignReport for the scanned range.
 
     Raises:
-        ValueError: on an invalid range, alpha or stride, or a checkpoint
+        ValueError: on an invalid range, alpha or stride, a checkpoint
             that was written for another scan, does not decode, or holds a
-            tally that disagrees with its state.
+            tally that disagrees with its state, or a trace shorter than the
+            checkpoint records.
         RuntimeError: if the tight accumulator cannot confirm the first
             violation flagged by the per-X bound.
     """
@@ -575,14 +594,23 @@ def scan_sign(
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     state = SumState(alpha=alpha)
     tally = _ScanTally()
+    trace_bytes = None
     # what a checkpoint records of the scan, and must match to be resumed
     scan = dict(
         alpha=alpha, claimed_sign=claimed_sign.value, x_lo=x_lo, x_hi=x_hi, segment_size=segment_size
     )
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state, tally = _load_checkpoint(checkpoint_path, scan)
+        state, tally, trace_bytes = _load_checkpoint(checkpoint_path, scan)
 
     resuming = trace_path is not None and state.upto > 0 and os.path.exists(trace_path)
+    if resuming and trace_bytes is not None:
+        # drop the rows a run past the checkpoint wrote; they are written again
+        if os.path.getsize(trace_path) < trace_bytes:
+            raise ValueError(
+                f"trace {trace_path!r} is shorter than the {trace_bytes} bytes "
+                f"checkpoint {checkpoint_path!r} records"
+            )
+        os.truncate(trace_path, trace_bytes)
     with (
         open(trace_path, "a" if resuming else "w", encoding="utf-8")
         if trace_path is not None else contextlib.nullcontext()
@@ -593,6 +621,7 @@ def scan_sign(
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
             terms, weights = _block_terms(block, alpha)
             weight_sum = None if weights is None else float(np.sum(weights))
+            block_sum = None  # _fold takes it from the terms unless the block is classified
 
             # Classify only the part of the block inside [x_lo, x_hi].
             start_i = max(0, x_lo - block.lo)
@@ -602,6 +631,8 @@ def scan_sign(
                 # values lives until the next block rebinds it: freed before the fold,
                 # malloc trims the heap and each block faults its 8 MB back in.
                 values = np.cumsum(terms, dtype=np.float64)
+                if weights is not None:
+                    block_sum = _sum2(terms, values)  # before the carry is added
                 values += carry
                 xs0 = block.lo + start_i
                 v = values[start_i:]
@@ -653,15 +684,17 @@ def scan_sign(
                     )
 
             intervals_before = state.upto // checkpoint_every
-            _fold(state, terms, weights, weight_sum)
+            _fold(state, terms, weights, weight_sum, block_sum)
             if progress is not None:
                 progress(state.upto)
             # at the first block end past each multiple of checkpoint_every
             crossed = state.upto // checkpoint_every > intervals_before
             if checkpoint_path and crossed and state.upto < x_hi:
+                trace_bytes = None
                 if trace_fh is not None:
                     trace_fh.flush()  # the rows through state.upto are on disk first
-                _write_checkpoint(checkpoint_path, scan, state, tally)
+                    trace_bytes = os.fstat(trace_fh.fileno()).st_size
+                _write_checkpoint(checkpoint_path, scan, state, tally, trace_bytes)
             del terms, weights  # freed before the next block is sieved
 
     return SignReport(

@@ -74,10 +74,10 @@ def test_criterion_2_threshold_sharpness(acceptance_log):
 @pytest.mark.gated
 def test_criterion_3_first_crossing_full_scale(acceptance_log):
     rep = scan_sign(2, 906_200_000, 0.0, Sign.NONPOSITIVE)
-    expected_first = 906_105_257
+    expected_first = 906_150_257
     ok = rep.first_violation == expected_first
     acceptance_log.record(
-        "3 (first crossing of L(X) > 0 at X = 906,105,257)",
+        "3 (first crossing of L(X) > 0 at X = 906,150,257)",
         ok,
         f"found first violation at X={rep.first_violation}",
     )

@@ -109,6 +109,24 @@ class TestVerifyCommand:
         assert "error:" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_repeated_traced_run_writes_each_row_once(self, tmp_path, capsys):
+        # the second run resumes from the checkpoint the first left at 4000
+        # and must not append the rows after it a second time
+        def run(*extra):
+            return main([
+                "verify", "--alpha", "1", "--from", "1", "--to", "5000", "--sign", "nonnegative",
+                "--segment-size", "1000", "--trace-every", "100", *extra,
+            ])
+
+        clean = tmp_path / "clean.csv"
+        assert run("--trace", str(clean)) == EXIT_OK
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        for _ in range(2):
+            assert run("--trace", str(trace), "--checkpoint", str(cp), "--checkpoint-every", "1000") == EXIT_OK
+        assert json.loads(cp.read_text())["trace_bytes"] < trace.stat().st_size
+        assert len(clean.read_text().splitlines()) == 52
+        assert trace.read_bytes() == clean.read_bytes()
+
     @pytest.mark.parametrize("flag", ["--checkpoint-every", "--trace-every"])
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_bad_stride_rejected(self, flag, stride, capsys):
@@ -190,6 +208,19 @@ class TestMalformedCheckpoint:
             (lambda p: {**p, "format": "other"}, ["unrecognized format or version"]),
             (lambda p: {**p, "version": p["version"] + 1}, ["unrecognized format or version"]),
             (lambda p: {**p, "state": [1]}, ["state must be a JSON object, got [1]"]),
+            (lambda p: {**p, "version": 1}, ["unrecognized format or version"]),
+            (
+                lambda p: {k: v for k, v in p.items() if k != "trace_bytes"},
+                ["trace_bytes is missing"],
+            ),
+            (
+                lambda p: {**p, "trace_bytes": -1},
+                ["trace_bytes must be null or an int >= 0, got -1"],
+            ),
+            (
+                lambda p: {**p, "trace_bytes": "12"},
+                ["trace_bytes must be null or an int >= 0, got '12'"],
+            ),
         ],
         ids=[
             "array", "missing-tally-field", "extra-state-field", "number-for-hex", "bool-upto",
@@ -197,6 +228,7 @@ class TestMalformedCheckpoint:
             "negative-indeterminate", "counts-past-range", "violations-without-first",
             "first-without-violations", "first-violation-past-upto", "argmin-below-x_lo",
             "argmax-past-upto", "wrong-format", "wrong-version", "state-not-object",
+            "version-1", "trace-bytes-missing", "trace-bytes-negative", "trace-bytes-str",
         ],
     )
     def test_rejected_with_error_line(self, corrupt, fragments, tmp_path, capsys):

@@ -14,6 +14,7 @@ from liouville_sums import liouville, partial_sum
 from liouville_sums.liouville import LambdaBlock, sieve_segment
 from liouville_sums.partial_sum import (
     EPS,
+    TRACE_HEADER,
     Sign,
     SumState,
     accumulate,
@@ -124,6 +125,13 @@ def _mixed_sign_arrays():
     return build()
 
 
+def _sum2_bound(exact: Fraction, abs_sum: Fraction, n: int) -> Fraction:
+    """Sum2's error bound u|s| + gamma_{n-1}^2 sum|x| (partial_sum docstring), exactly."""
+    u = Fraction(EPS) / 2
+    gamma = (n - 1) * u / (1 - (n - 1) * u)
+    return u * abs(exact) + gamma ** 2 * abs_sum
+
+
 class TestBlockSum:
     @given(_mixed_sign_arrays())
     @example([1e16, 1.0, -1e16])
@@ -132,16 +140,49 @@ class TestBlockSum:
     @settings(max_examples=300)
     def test_within_documented_bound(self, xs):
         # the block sum of _fold from a zero state, against the exact rational
-        # sum s: |r - s| <= u|s| + 1e-7 u sum|x| (partial_sum docstring), which
-        # puts r within eps * sum|x| of the correctly rounded fsum
+        # sum s: |r - s| <= u|s| + gamma_{N-1}^2 sum|x| (Sum2, partial_sum
+        # docstring), which puts r within eps * sum|x| of the correctly rounded fsum
         terms = np.array(xs, dtype=np.float64)
         state = partial_sum._fold(SumState(alpha=0.5), terms, np.abs(terms))
         r = state.total()
         exact = sum(Fraction(x) for x in xs)
         abs_sum = sum(abs(Fraction(x)) for x in xs)
-        u = Fraction(EPS) / 2
-        assert abs(Fraction(r) - exact) <= u * abs(exact) + Fraction(1, 10 ** 7) * u * abs_sum
+        assert abs(Fraction(r) - exact) <= _sum2_bound(exact, abs_sum, len(xs))
         assert abs(Fraction(r) - Fraction(math.fsum(xs))) <= Fraction(EPS) * abs_sum
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 17])
+    def test_sum2_across_chunks(self, n, monkeypatch):
+        # blocks of 1, 2, C, C + 1, C + 2 and 2C + 1 terms with the chunk C = 8: the
+        # result is within Sum2's bound of the exact sum, also where every
+        # prefix sum loses the small terms to the large ones
+        monkeypatch.setattr(partial_sum, "_SUM2_CHUNK", 8)
+        rng = np.random.default_rng(n)
+        big = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(50, 60, n)
+        cases = [
+            rng.standard_normal(n),
+            big,
+            big + rng.uniform(-1, 1, n),  # sum near 0: ill-conditioned
+            np.resize([1e16, 1.0, -1e16, 1.0], n),
+        ]
+        for x in cases:
+            r = partial_sum._sum2(x, np.cumsum(x))
+            exact = sum(Fraction(v) for v in x.tolist())
+            abs_sum = sum(abs(Fraction(v)) for v in x.tolist())
+            assert abs(Fraction(r) - exact) <= _sum2_bound(exact, abs_sum, n), x
+        if n >= 3:
+            # the last prefix sum has lost the 1s; the recovered errors, small
+            # integers summed exactly, give them back: r is the exact sum rounded
+            assert np.cumsum(x)[-1] != float(exact) and r == float(exact)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 2 ** 20 + 3])
+    def test_cumsum_is_sequential(self, n):
+        # Sum2 and the per-X bounds take np.cumsum to be the recurrence
+        # c_j = fl(c_{j-1} + x_j); a pairwise or blocked cumsum would break both
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 2.0 ** rng.integers(-30, 30, n)
+        c = np.cumsum(x, dtype=np.float64)
+        assert c[0] == x[0]
+        assert np.array_equal(c[1:], c[:-1] + x[1:])
 
     @pytest.mark.parametrize(
         "alpha, claimed, seg",
@@ -566,9 +607,9 @@ class TestScanSign:
         seen = []
         write = partial_sum._write_checkpoint
 
-        def spy(path, scan, state, tally):
+        def spy(path, scan, state, tally, trace_bytes):
             seen.append(state.upto)
-            write(path, scan, state, tally)
+            write(path, scan, state, tally, trace_bytes)
 
         monkeypatch.setattr(partial_sum, "_write_checkpoint", spy)
         scan_sign(
@@ -584,9 +625,10 @@ class TestScanSign:
         on_disk = []
         write = partial_sum._write_checkpoint
 
-        def spy(path, scan, state, tally):
+        def spy(path, scan, state, tally, trace_bytes):
             on_disk.append((state.upto, trace.read_text()))
-            write(path, scan, state, tally)
+            assert trace_bytes == trace.stat().st_size
+            write(path, scan, state, tally, trace_bytes)
 
         monkeypatch.setattr(partial_sum, "_write_checkpoint", spy)
         scan_sign(
@@ -599,6 +641,66 @@ class TestScanSign:
         for upto, text in on_disk:
             through = [r for r in rows if int(r.split(",")[0]) <= upto]
             assert text.splitlines() == [header, *through], upto
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_block_end_states_equal_evaluate(self, alpha, tmp_path, monkeypatch):
+        # the state carried past every block end, whether the fold took the
+        # block sum from the scan's prefix sums (a classified block) or formed
+        # its own (a block below x_lo), is evaluate's state there, bit for bit
+        seg, seen = 1000, []
+
+        def spy(path, scan, state, tally, trace_bytes):
+            seen.append(dataclasses.replace(state))
+
+        monkeypatch.setattr(partial_sum, "_write_checkpoint", spy)
+        scan_sign(
+            2500, 9000, alpha, Sign.NONNEGATIVE, segment_size=seg,
+            checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=seg,
+        )
+        assert [state.upto for state in seen] == list(range(seg, 9000, seg))
+        for state in seen:
+            want = SumState(alpha=alpha)
+            for block in liouville.stream_lambda_range(1, state.upto, seg):
+                accumulate(want, block)
+            assert state == want
+            assert (state.total(), state.err_bound) == evaluate(state.upto, alpha, seg)
+
+    @pytest.mark.parametrize("x_lo, alpha", [(1, 1.0), (17, 0.5)])
+    def test_rerun_or_resume_writes_each_trace_row_once(self, x_lo, alpha, tmp_path):
+        # a finished scan run again resumes from its last checkpoint, and an
+        # interrupted one from the checkpoint before the rows it wrote last;
+        # either way the trace is the one a single clean run writes
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(upto):
+            if upto == 3000:  # past the checkpoint at 2000, before the one at 3000
+                raise Interrupted
+
+        args = (x_lo, 5000, alpha, Sign.NONNEGATIVE)
+        kwargs = dict(segment_size=1000, trace_every=100, checkpoint_every=1000)
+        clean = tmp_path / "clean.csv"
+        want = scan_sign(*args, trace_path=str(clean), **kwargs)
+
+        trace, cp = tmp_path / "rerun.csv", tmp_path / "rerun.json"
+        for _ in range(2):
+            scan_sign(*args, trace_path=str(trace), checkpoint_path=str(cp), **kwargs)
+        assert trace.read_bytes() == clean.read_bytes()
+
+        trace, cp = tmp_path / "resumed.csv", tmp_path / "resumed.json"
+        with pytest.raises(Interrupted):
+            scan_sign(*args, trace_path=str(trace), checkpoint_path=str(cp), progress=interrupt, **kwargs)
+        assert json.loads(cp.read_text())["state"]["upto"] == 2000
+        assert scan_sign(*args, trace_path=str(trace), checkpoint_path=str(cp), **kwargs) == want
+        assert trace.read_bytes() == clean.read_bytes()
+
+    def test_trace_shorter_than_checkpoint_rejected(self, tmp_path):
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        kwargs = dict(segment_size=1000, trace_path=str(trace), checkpoint_path=str(cp), checkpoint_every=1000)
+        scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+        trace.write_text(TRACE_HEADER + "\n")
+        with pytest.raises(ValueError, match="is shorter than the .* bytes checkpoint"):
+            scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"
