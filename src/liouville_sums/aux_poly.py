@@ -34,9 +34,9 @@ apart, the R points u_k + j h of a block satisfy
     A(u_k + j h) = r0 + Re sum_n E[j, n] V[n, k],
     E[j, n] = exp(i gamma_n j h),   V[n, k] = c_n exp(i gamma_n u_k),
 
-so E is built once per scan and H = _HEADS block heads at a time cost one
-complex matrix product.  Every phase comes straight from an exponential, so
-nothing drifts along the grid.
+so E is built once per scan and the heads of a chunk of grid points cost
+one complex matrix product.  Every phase comes straight from an exponential,
+so nothing drifts along the grid.
 
 Error of a scanned value against the exact A(u) at the reported grid point
 u (a binary64 number; the stored ordinates are taken as exact), with
@@ -95,14 +95,11 @@ ZETA_PRIME_FLOOR = 1.0e-6
 #: Largest number of grid points a scan will accept.
 MAX_GRID_POINTS = 10 ** 9
 
-#: Grid chunk size for scans (memory bound, not a tuning knob).
-_CHUNK = 1 << 19
-
-#: Grid points per phase-table block (rows of E) and block heads per matrix
-#: product.  Together with _CHUNK they bound memory: E holds _BLOCK x N and
-#: V holds N x _HEADS complex values, N <= ~4500 terms.
+#: Grid points per phase-table block (rows of E), and grid points per scan
+#: chunk, one matrix product.  They bound memory: E holds _BLOCK x N and V
+#: holds N x (_CHUNK / _BLOCK) complex values, N <= ~4500 terms.
 _BLOCK = 32
-_HEADS = 8
+_CHUNK = 8 * _BLOCK
 
 #: exp(u) overflows binary64 beyond this; X-equivalents are reported as None.
 _EXP_MAX = 709.0
@@ -277,20 +274,6 @@ def evaluate_at(poly: AuxPolynomial, u: float) -> float:
     return math.fsum(parts)
 
 
-def _grid_values(
-    r0: float, gammas: np.ndarray, coeffs: np.ndarray, table: np.ndarray, us: np.ndarray
-) -> np.ndarray:
-    """A(u) at consecutive grid points us, through the phase table (module docstring)."""
-    heads = us[::_BLOCK]
-    out = np.empty((len(heads), _BLOCK))
-    for k in range(0, len(heads), _HEADS):
-        v = 1j * np.multiply.outer(gammas, heads[k:k + _HEADS])
-        np.exp(v, out=v)
-        v *= coeffs[:, None]
-        out[k:k + _HEADS] = (table @ v).real.T
-    return r0 + out.ravel()[: len(us)]
-
-
 @dataclass(frozen=True)
 class ScanExtremum:
     """Value and location of a scan extremum, with the X = e^u equivalent."""
@@ -348,7 +331,7 @@ def scan_u(
     <= u_hi (a single point when step exceeds the range).  Evaluation is
     chunked, so memory stays constant for any grid size.  Each chunk goes
     through the blocked phase table of the module docstring, one complex
-    matrix product per _HEADS x _BLOCK grid points; every value is within
+    matrix product per chunk of _CHUNK grid points; every value is within
 
         sum_n 2 w_n residue_err_n
         + eps * (sum_n 2 w_n |r_n| (3 gamma_n u + N + 5) + |r0|)
@@ -382,7 +365,12 @@ def scan_u(
     span = (u_hi - u_lo) / step  # inf when the step underflows the range
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"grid of {span + 1:.0f} points exceeds the cap {MAX_GRID_POINTS}")
+    # the points u_lo + m * step <= u_hi; the rounded span can miss the last by one
     n_points = int(span) + 1
+    if u_lo + n_points * step <= u_hi:
+        n_points += 1
+    elif u_lo + (n_points - 1) * step > u_hi:
+        n_points -= 1
 
     gammas = np.array([t.gamma for t in poly.terms], dtype=np.float64)
     coeffs = np.array([2.0 * t.weight * t.residue for t in poly.terms], dtype=np.complex128)
@@ -403,7 +391,11 @@ def scan_u(
         count = min(_CHUNK, n_points - start)
         idx = np.arange(start, start + count, dtype=np.float64)
         us = u_lo + idx * step
-        vs = _grid_values(poly.r0, gammas, coeffs, table, us)
+        # the phase table times V over the chunk's block heads (module docstring)
+        v = 1j * np.multiply.outer(gammas, us[::_BLOCK])
+        np.exp(v, out=v)
+        v *= coeffs[:, None]
+        vs = poly.r0 + (table @ v).real.T.ravel()[:count]
 
         i_max = int(np.argmax(vs))
         if vs[i_max] > maximum.value:

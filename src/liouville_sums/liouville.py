@@ -51,7 +51,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -77,7 +78,6 @@ _LOG_SCALE = 64
 #: Wheel prime powers laid down from one periodic table, and its period.
 _WHEEL = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1))
 _WHEEL_PERIOD = 2 ** 4 * 3 ** 2 * 5 * 7 * 11
-_wheel_table_cache: Optional[np.ndarray] = None
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -183,18 +183,16 @@ def _log_weight(p: int) -> int:
     return 2 * ((p ** _LOG_SCALE).bit_length() - 1) + 1
 
 
+@lru_cache(maxsize=1)
 def _wheel_table() -> np.ndarray:
     """Weights of the wheel prime powers dividing n, indexed by n mod _WHEEL_PERIOD."""
-    global _wheel_table_cache
-    if _wheel_table_cache is None:
-        table = np.zeros(_WHEEL_PERIOD, dtype=np.int16)
-        for p, e in _WHEEL:
-            w = _log_weight(p)
-            for k in range(1, e + 1):
-                table[:: p ** k] += w
-        table.flags.writeable = False
-        _wheel_table_cache = table
-    return _wheel_table_cache
+    table = np.zeros(_WHEEL_PERIOD, dtype=np.int16)
+    for p, e in _WHEEL:
+        w = _log_weight(p)
+        for k in range(1, e + 1):
+            table[:: p ** k] += w
+    table.flags.writeable = False
+    return table
 
 
 def sieve_segment(lo: int, hi: int) -> LambdaBlock:

@@ -11,7 +11,8 @@ of the terms, which a sign scan also needs for its per-X values, plus the
 float sum of the rounding error of each of their additions, recovered
 exactly by TwoSum.  Blocks are chained with a Neumaier-compensated carry.
 For alpha = 0 the terms are the int8 values of lambda themselves and each
-block sum is an int64 sum, with no float terms.  The tracked bound covers
+block sum is their last prefix sum, exact like every prefix sum.  The
+tracked bound covers
 
   (a) per-term representation error of lambda(n)/n^alpha in binary64,
   (b) the error of each block sum (<= 1 eps of the block magnitude),
@@ -35,21 +36,21 @@ of the N - 1 errors, in whatever order they are added, is within
 gamma_{N-2} sum|e_j| of their exact sum.  Blocks hold
 N <= MAX_SEGMENT_SIZE = 2^25 terms, so gamma_{N-1} < 2^-28 and
 gamma_{N-1}^2 < u/8.  Hence |r - s| <= (1 + 1/8) u sum|x| < eps *
-block_abs_sum: the budget of (b), which the correctly rounded fsum used
-before also met, is unchanged.  (block_abs_sum is the float sum of the
+block_abs_sum, the budget of (b).  (block_abs_sum is the float sum of the
 weights 1/n^alpha = |x_i|, itself within a relative 2^-28 of sum|x|, well
 inside the remaining slack.)  The proof takes np.cumsum to be the
 sequential recurrence above, as the per-X bounds below also do; the test
 suite checks that it is on the numpy it runs with.
 
 Sign scanning makes one pass per block: it computes the block's terms once,
-takes their prefix sums once, evaluates the running sum at every integer X
-in the block from them, and folds the block's Sum2 over the same prefix sums
-into the carried state.  Within a block the per-X error bound uses the
-standard worst case for sequential summation, which is far looser than the
-carried Neumaier bound but still many orders below the observed values.  The first violation found by the scan is
-confirmed with the tight accumulator, resumed from the state carried at the
-start of its block.
+takes their prefix sums once, folds the block's Sum2 over them into the
+carried state, and evaluates the running sum at every integer X in the block
+from the same prefix sums and the state carried into the block.  Within a
+block the per-X error bound uses the standard worst case for sequential
+summation, which is far looser than the carried Neumaier bound but still
+many orders below the observed values.  The first violation found by the
+scan is confirmed with the tight accumulator, resumed from the state
+carried into its block.
 
 Per-X bounds and the block bound.  A block of N weights w_i = 1/n^alpha
 follows a carried state with total `carry` and bound E.  The scan's value at
@@ -61,9 +62,10 @@ sums of the terms, and its bound is the binary64 evaluation, in this order, of
 C_j the float prefix sums of the weights (_per_x_errs).  The C_j never
 decrease, because fl(a + w) >= a for w >= 0, and every operation of e_j is
 rounded to nearest, hence monotone, on nonnegative operands; so e_j <= e_N
-for every j.  The fold already takes S, the float (pairwise) sum of the same
-N weights.  Any order of summing N nonnegative numbers lands within a
-relative gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) of their exact sum s, so
+for every j.  Let S be the float (pairwise) sum of the same N weights, as
+the fold also takes it.  Any order of summing N nonnegative numbers lands
+within a relative gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) of their exact
+sum s, so
 
   C_N <= (1 + gamma) s <= S (1 + gamma) / (1 - gamma) < S (1 + 2^-26),
 
@@ -224,30 +226,23 @@ def _sum2(terms: np.ndarray, prefix: np.ndarray) -> float:
 
 
 def _fold(
-    state: SumState,
-    terms: np.ndarray,
-    weights: Optional[np.ndarray],
-    weight_sum: Optional[float] = None,
-    block_sum: Optional[float] = None,
+    state: SumState, terms: np.ndarray, weights: Optional[np.ndarray], prefix: np.ndarray
 ) -> SumState:
     """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
 
-    weights are |terms| as returned by _block_terms.  At alpha = 0 the terms
-    are int8 and their sum is taken in int64, so no float array is involved;
-    the sum is exact because every quantity is an integer below 2^53.
-    Otherwise the block sum is _sum2's over the prefix sums np.cumsum(terms).
-    A caller that already holds those prefix sums passes block_sum, and
-    weight_sum = float(np.sum(weights)) when it has taken it; the fold
-    computes what it is not given.  Mutates and returns state.
+    weights are |terms| as returned by _block_terms and prefix is
+    np.cumsum(terms, dtype=np.float64), the terms' sequential prefix sums.
+    At alpha = 0 the block sum is the last prefix sum, exact because every
+    prefix sum is an integer below 2^53; otherwise it is _sum2's over them.
+    Mutates and returns state.
     """
     hi = state.upto + len(terms)
     if weights is None:
-        block_sum = float(np.sum(terms, dtype=np.int64))
+        block_sum = float(prefix[-1])
         block_abs = len(terms)
     else:
-        if block_sum is None:
-            block_sum = _sum2(terms, np.cumsum(terms))
-        block_abs = float(np.sum(weights)) if weight_sum is None else weight_sum
+        block_sum = _sum2(terms, prefix)
+        block_abs = float(np.sum(weights))
         k = _term_error_constant(state.alpha, hi)
         state.err_bound += EPS * (k + 4.0) * block_abs
 
@@ -283,7 +278,8 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
         raise ValueError(
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
-    return _fold(state, *_block_terms(block, state.alpha))
+    terms, weights = _block_terms(block, state.alpha)
+    return _fold(state, terms, weights, np.cumsum(terms, dtype=np.float64))
 
 
 def evaluate(
@@ -549,16 +545,18 @@ def scan_sign(
     """Classify the running sum at every integer X in [x_lo, x_hi].
 
     The sum always starts at n = 1; integers below x_lo are accumulated but
-    not classified.  Each block is sieved and its terms computed once; at
-    alpha = 0 they stay integers.  A block whose extreme value clears one
-    scalar bound errmax, at least every per-X bound of the block, conforms
-    at every X; only a block that fails that test has its per-X bounds built
-    and each X classified (module docstring).  The first violation is
-    confirmed with the tight compensated accumulator, resumed from the state
-    carried at the start of its block, before the scan moves on (skipped for
-    alpha = 0, where arithmetic is exact).  Resumed scans keep the same block
-    boundaries, because the checkpoint pins segment_size, so the confirmed
-    value is the one evaluate(X, alpha, segment_size) returns.
+    not classified.  Each block is sieved, its terms computed once (at
+    alpha = 0 they stay integers) and their prefix sums taken once.  The
+    block is folded into the carried state from those prefix sums first,
+    then classified against the state carried into it.  A block whose
+    extreme value clears one scalar bound errmax, at least every per-X bound
+    of the block, conforms at every X; only a block that fails that test has
+    its per-X bounds built and each X classified (module docstring).  The
+    first violation is confirmed with the tight compensated accumulator,
+    resumed from the state carried into its block, before the scan moves on
+    (skipped for alpha = 0, where arithmetic is exact).  Resumed scans keep
+    the same block boundaries, because the checkpoint pins segment_size, so
+    the confirmed value is the one evaluate(X, alpha, segment_size) returns.
 
     Args:
         x_lo, x_hi: inclusive scan range, 1 <= x_lo <= x_hi
@@ -620,19 +618,17 @@ def scan_sign(
 
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
             terms, weights = _block_terms(block, alpha)
-            weight_sum = None if weights is None else float(np.sum(weights))
-            block_sum = None  # _fold takes it from the terms unless the block is classified
+            # values lives until the next block rebinds it: freed sooner, malloc
+            # trims the heap and each block faults its 8 MB back in.
+            values = np.cumsum(terms, dtype=np.float64)
+            start = dataclasses.replace(state)  # the state carried into the block
+            _fold(state, terms, weights, values)
 
             # Classify only the part of the block inside [x_lo, x_hi].
             start_i = max(0, x_lo - block.lo)
             if start_i < len(terms):
-                carry, err_bound = state.total(), state.err_bound
-                # exact at alpha = 0: carry and the prefix sums are integers below 2^53.
-                # values lives until the next block rebinds it: freed before the fold,
-                # malloc trims the heap and each block faults its 8 MB back in.
-                values = np.cumsum(terms, dtype=np.float64)
-                if weights is not None:
-                    block_sum = _sum2(terms, values)  # before the carry is added
+                carry, err_bound = start.total(), start.err_bound
+                # exact at alpha = 0: carry and the prefix sums are integers below 2^53
                 values += carry
                 xs0 = block.lo + start_i
                 v = values[start_i:]
@@ -653,7 +649,9 @@ def scan_sign(
                         return np.zeros(len(r))
                 else:
                     k = _term_error_constant(alpha, block.hi)
-                    errmax = _block_errmax(err_bound, carry, k, len(terms), weight_sum)
+                    errmax = _block_errmax(
+                        err_bound, carry, k, len(terms), float(np.sum(weights))
+                    )
 
                     def errs_at(r):
                         i = start_i + r
@@ -672,7 +670,7 @@ def scan_sign(
                         tally.first_violation = block.lo + i
                         if weights is not None:
                             _confirm_in_block(
-                                state, terms[: i + 1], weights[: i + 1], claimed_sign
+                                start, terms[: i + 1], weights[: i + 1], claimed_sign
                             )
                     tally.violations += n_viol
                     tally.indeterminate += int(np.count_nonzero(indeterminate))
@@ -683,12 +681,10 @@ def scan_sign(
                         x_lo, x_hi,
                     )
 
-            intervals_before = state.upto // checkpoint_every
-            _fold(state, terms, weights, weight_sum, block_sum)
             if progress is not None:
                 progress(state.upto)
             # at the first block end past each multiple of checkpoint_every
-            crossed = state.upto // checkpoint_every > intervals_before
+            crossed = state.upto // checkpoint_every > start.upto // checkpoint_every
             if checkpoint_path and crossed and state.upto < x_hi:
                 trace_bytes = None
                 if trace_fh is not None:
@@ -757,7 +753,7 @@ def _confirm_in_block(
     guards against a per-X bound that is too small, or a mislabelled X (never
     observed outside tests).
     """
-    check = _fold(dataclasses.replace(start), terms, weights)
+    check = _fold(dataclasses.replace(start), terms, weights, np.cumsum(terms, dtype=np.float64))
     x, value, err = check.upto, check.total(), check.err_bound
     if not claimed.violated(value, err):
         raise RuntimeError(

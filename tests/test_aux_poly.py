@@ -11,7 +11,7 @@ import pytest
 from liouville_sums import aux_poly
 from liouville_sums.aux_poly import (
     _BLOCK,
-    _HEADS,
+    _CHUNK,
     AuxPolynomial,
     AuxTerm,
     build_polynomial,
@@ -259,12 +259,25 @@ class TestScanU:
 
     @pytest.mark.parametrize(
         "n_points",
-        [1, 2, _BLOCK - 1, _BLOCK + 1, _BLOCK * _HEADS - 1, _BLOCK * _HEADS + 1, 3 * _BLOCK * _HEADS + 7],
+        [1, 2, _BLOCK - 1, _BLOCK + 1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 7],
     )
     def test_grid_lengths_off_block_multiples(self, poly_half, n_points):
         step = 0.07
         rep, points = scanned_points(poly_half, 2.5, 2.5 + (n_points - 0.5) * step, step)
         assert rep.n_points == n_points
+        assert_matches_evaluate_at(poly_half, points)
+
+    @pytest.mark.parametrize(
+        "u_hi, step, n_points, last_u",
+        [
+            (1.7, 0.1, 17, 1.6),  # 17 * 0.1 = 1.7000000000000002 > u_hi
+            (0.29, 0.01, 30, 0.29),  # 29 * 0.01 = 0.29 although 0.29 / 0.01 < 29
+        ],
+    )
+    def test_grid_ends_at_last_point_within_range(self, poly_half, u_hi, step, n_points, last_u):
+        rep, points = scanned_points(poly_half, 0.0, u_hi, step)
+        assert rep.n_points == n_points
+        assert points[-1][0] == last_u
         assert_matches_evaluate_at(poly_half, points)
 
     def test_grid_crossing_chunk_boundaries(self, poly_half, monkeypatch):

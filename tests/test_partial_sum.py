@@ -143,7 +143,7 @@ class TestBlockSum:
         # sum s: |r - s| <= u|s| + gamma_{N-1}^2 sum|x| (Sum2, partial_sum
         # docstring), which puts r within eps * sum|x| of the correctly rounded fsum
         terms = np.array(xs, dtype=np.float64)
-        state = partial_sum._fold(SumState(alpha=0.5), terms, np.abs(terms))
+        state = partial_sum._fold(SumState(alpha=0.5), terms, np.abs(terms), np.cumsum(terms))
         r = state.total()
         exact = sum(Fraction(x) for x in xs)
         abs_sum = sum(abs(Fraction(x)) for x in xs)
@@ -201,7 +201,9 @@ class TestBlockSum:
         real = partial_sum._confirm_in_block
 
         def spy(start, terms, weights, claimed_sign):
-            check = partial_sum._fold(dataclasses.replace(start), terms, weights)
+            check = partial_sum._fold(
+                dataclasses.replace(start), terms, weights, np.cumsum(terms, dtype=np.float64)
+            )
             seen.append((check.upto, check.total(), check.err_bound))
             return real(start, terms, weights, claimed_sign)
 
@@ -642,11 +644,10 @@ class TestScanSign:
             through = [r for r in rows if int(r.split(",")[0]) <= upto]
             assert text.splitlines() == [header, *through], upto
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
     def test_block_end_states_equal_evaluate(self, alpha, tmp_path, monkeypatch):
-        # the state carried past every block end, whether the fold took the
-        # block sum from the scan's prefix sums (a classified block) or formed
-        # its own (a block below x_lo), is evaluate's state there, bit for bit
+        # the state carried past every block end, of a classified block or of
+        # one below x_lo, is evaluate's state there, bit for bit
         seg, seen = 1000, []
 
         def spy(path, scan, state, tally, trace_bytes):
