@@ -11,7 +11,7 @@ of the terms, which a sign scan also needs for its per-X values, plus the
 float sum of the rounding error of each of their additions, recovered
 exactly by TwoSum.  Blocks are chained with a Neumaier-compensated carry.
 For alpha = 0 the terms are the int8 values of lambda themselves and each
-block sum is their last prefix sum, exact like every prefix sum.  The
+block sum is exact, an integer below 2^53 like every prefix sum.  The
 tracked bound covers
 
   (a) per-term representation error of lambda(n)/n^alpha in binary64,
@@ -225,21 +225,28 @@ def _sum2(terms: np.ndarray, prefix: np.ndarray) -> float:
     return float(prefix[-1]) + err
 
 
+def _fold_prefix(terms: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
+    """The prefix sums _fold reads: all for Sum2, at alpha = 0 only the last, an int64 sum."""
+    if weights is None:  # far cheaper than a float64 cumsum of the int8 values
+        return np.sum(terms, dtype=np.int64, keepdims=True)
+    return np.cumsum(terms, dtype=np.float64)
+
+
 def _fold(
     state: SumState, terms: np.ndarray, weights: Optional[np.ndarray], prefix: np.ndarray
-) -> SumState:
+) -> float:
     """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
 
-    weights are |terms| as returned by _block_terms and prefix is
-    np.cumsum(terms, dtype=np.float64), the terms' sequential prefix sums.
-    At alpha = 0 the block sum is the last prefix sum, exact because every
-    prefix sum is an integer below 2^53; otherwise it is _sum2's over them.
-    Mutates and returns state.
+    weights are |terms| as returned by _block_terms and prefix holds the
+    terms' sequential prefix sums (_fold_prefix).  At alpha = 0 only the last,
+    the block sum, is read: exact, an integer below 2^53.  Otherwise the block
+    sum is _sum2's over them.  Mutates state and returns block_abs, the
+    block's float weight sum (its length at alpha = 0) added to abs_sum.
     """
     hi = state.upto + len(terms)
     if weights is None:
         block_sum = float(prefix[-1])
-        block_abs = len(terms)
+        block_abs = float(len(terms))
     else:
         block_sum = _sum2(terms, prefix)
         block_abs = float(np.sum(weights))
@@ -255,7 +262,7 @@ def _fold(
     state.value = t
     state.abs_sum += block_abs
     state.upto = hi
-    return state
+    return block_abs
 
 
 def accumulate(state: SumState, block: LambdaBlock) -> SumState:
@@ -279,7 +286,8 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
     terms, weights = _block_terms(block, state.alpha)
-    return _fold(state, terms, weights, np.cumsum(terms, dtype=np.float64))
+    _fold(state, terms, weights, _fold_prefix(terms, weights))
+    return state
 
 
 def evaluate(
@@ -548,7 +556,8 @@ def scan_sign(
     not classified.  Each block is sieved, its terms computed once (at
     alpha = 0 they stay integers) and their prefix sums taken once.  The
     block is folded into the carried state from those prefix sums first,
-    then classified against the state carried into it.  A block whose
+    then classified against the state carried into it; at alpha = 0 a block
+    wholly below x_lo takes only its int64 sum (_fold_prefix).  A block whose
     extreme value clears one scalar bound errmax, at least every per-X bound
     of the block, conforms at every X; only a block that fails that test has
     its per-X bounds built and each X classified (module docstring).  The
@@ -618,15 +627,16 @@ def scan_sign(
 
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
             terms, weights = _block_terms(block, alpha)
-            # values lives until the next block rebinds it: freed sooner, malloc
-            # trims the heap and each block faults its 8 MB back in.
-            values = np.cumsum(terms, dtype=np.float64)
-            start = dataclasses.replace(state)  # the state carried into the block
-            _fold(state, terms, weights, values)
-
             # Classify only the part of the block inside [x_lo, x_hi].
             start_i = max(0, x_lo - block.lo)
-            if start_i < len(terms):
+            classified = start_i < len(terms)
+            # values lives until the next block rebinds it: freed sooner, malloc
+            # trims the heap and each block faults its 8 MB back in.
+            values = np.cumsum(terms, dtype=np.float64) if classified else _fold_prefix(terms, weights)
+            start = dataclasses.replace(state)  # the state carried into the block
+            weight_sum = _fold(state, terms, weights, values)
+
+            if classified:
                 carry, err_bound = start.total(), start.err_bound
                 # exact at alpha = 0: carry and the prefix sums are integers below 2^53
                 values += carry
@@ -649,9 +659,7 @@ def scan_sign(
                         return np.zeros(len(r))
                 else:
                     k = _term_error_constant(alpha, block.hi)
-                    errmax = _block_errmax(
-                        err_bound, carry, k, len(terms), float(np.sum(weights))
-                    )
+                    errmax = _block_errmax(err_bound, carry, k, len(terms), weight_sum)
 
                     def errs_at(r):
                         i = start_i + r
@@ -753,7 +761,8 @@ def _confirm_in_block(
     guards against a per-X bound that is too small, or a mislabelled X (never
     observed outside tests).
     """
-    check = _fold(dataclasses.replace(start), terms, weights, np.cumsum(terms, dtype=np.float64))
+    check = dataclasses.replace(start)
+    _fold(check, terms, weights, _fold_prefix(terms, weights))
     x, value, err = check.upto, check.total(), check.err_bound
     if not claimed.violated(value, err):
         raise RuntimeError(

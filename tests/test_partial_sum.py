@@ -143,12 +143,26 @@ class TestBlockSum:
         # sum s: |r - s| <= u|s| + gamma_{N-1}^2 sum|x| (Sum2, partial_sum
         # docstring), which puts r within eps * sum|x| of the correctly rounded fsum
         terms = np.array(xs, dtype=np.float64)
-        state = partial_sum._fold(SumState(alpha=0.5), terms, np.abs(terms), np.cumsum(terms))
+        state = SumState(alpha=0.5)
+        partial_sum._fold(state, terms, np.abs(terms), np.cumsum(terms))
         r = state.total()
         exact = sum(Fraction(x) for x in xs)
         abs_sum = sum(abs(Fraction(x)) for x in xs)
         assert abs(Fraction(r) - exact) <= _sum2_bound(exact, abs_sum, len(xs))
         assert abs(Fraction(r) - Fraction(math.fsum(xs))) <= Fraction(EPS) * abs_sum
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_fold_from_its_prefix_returns_the_weight_sum(self, alpha):
+        # the fold from _fold_prefix (at alpha = 0 the int64 block sum alone)
+        # equals the fold from the full float prefix sums, and returns the
+        # weight sum scan_sign bounds the block's per-X errors with
+        block = LambdaBlock(1000, sieve_segment(1000, 4999).values)
+        terms, weights = partial_sum._block_terms(block, alpha)
+        full, short = SumState(alpha=alpha, upto=999), SumState(alpha=alpha, upto=999)
+        got = partial_sum._fold(full, terms, weights, np.cumsum(terms, dtype=np.float64))
+        partial_sum._fold(short, terms, weights, partial_sum._fold_prefix(terms, weights))
+        assert full == short
+        assert got == (len(terms) if weights is None else float(np.sum(weights)))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 17])
     def test_sum2_across_chunks(self, n, monkeypatch):
@@ -201,9 +215,8 @@ class TestBlockSum:
         real = partial_sum._confirm_in_block
 
         def spy(start, terms, weights, claimed_sign):
-            check = partial_sum._fold(
-                dataclasses.replace(start), terms, weights, np.cumsum(terms, dtype=np.float64)
-            )
+            check = dataclasses.replace(start)
+            partial_sum._fold(check, terms, weights, np.cumsum(terms, dtype=np.float64))
             seen.append((check.upto, check.total(), check.err_bound))
             return real(start, terms, weights, claimed_sign)
 
@@ -547,6 +560,27 @@ class TestScanSign:
                     scan = (x_lo, x_hi, alpha, claimed)
                     assert run(spy, *scan, seg=seg) == run(lambda *args: False, *scan, seg=seg)
         assert any(settled) and not all(settled)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_scan_errmax_bounds_its_blocks_per_x_errs(self, alpha, monkeypatch):
+        # the scalar bound each block is judged by, formed from the weight sum
+        # _fold returns, is at least every per-X bound of that block
+        bounds, worst = [], []
+        real = partial_sum._classify_arrays
+
+        def conforms(extreme, errmax, claimed):
+            bounds.append(errmax)
+            return False  # every block builds its per-X bounds
+
+        def classify(values, errs, claimed):
+            worst.append(errs.max())
+            return real(values, errs, claimed)
+
+        monkeypatch.setattr(partial_sum, "_block_conforms", conforms)
+        monkeypatch.setattr(partial_sum, "_classify_arrays", classify)
+        scan_sign(1, 20_000, alpha, Sign.NONNEGATIVE, segment_size=2 ** 12)
+        assert len(bounds) == len(worst) == 5
+        assert all(b >= w for b, w in zip(bounds, worst)), (bounds, worst)
 
     def test_checkpoint_resume_identical(self, tmp_path):
         # a clean scan and a violating one (alpha = 1 is positive throughout)
