@@ -40,10 +40,10 @@ per-element logarithm is taken.  Headroom: acc(n) <= sum v_p(n)*(2*S*log2 p
 + 1) <= (2*S + 1)*log2 n = 129*log2 n < 8256 for n < 2^64, below the int16
 maximum 32767, and the largest threshold 2*63*63 = 7938 fits as well.
 
-The primes come from one module table that grows on demand and is only
-ever replaced whole, never written, so disjoint segments can be sieved
-concurrently.  Anything that needs ordered results (running sums in
-particular) must consume blocks in order.
+The primes and their weights come from one module table that grows on
+demand and is only ever replaced whole, never written, so disjoint segments
+can be sieved concurrently.  Anything that needs ordered results (running
+sums in particular) must consume blocks in order.
 """
 
 from __future__ import annotations
@@ -66,10 +66,13 @@ MAX_SEGMENT_SIZE = 1 << 25
 # 32-bit integer outright; larger n fall back to odd trial division.
 _SMALL_PRIME_LIMIT = 65536
 
-# (limit, every prime <= limit as a read-only array): read and replaced as
-# one object, so a concurrent grow never pairs a limit with a shorter table.
-# Racing grows each slice their own table; the loser's only costs a rebuild.
-_prime_cache: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+# (limit, every prime <= limit, the sieve weight _log_weight(p) of each), the
+# arrays read-only: read and replaced as one object, so a concurrent grow
+# never pairs a limit with a shorter table, nor a table with another's weights.
+# Racing grows each slice their own tables; the loser's only costs a rebuild.
+_prime_cache: tuple[int, np.ndarray, np.ndarray] = (
+    0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+)
 
 #: Scale S of the sieve's fixed-point logarithms: a prime p weighs
 #: 2*floor(S*log2 p) + 1.
@@ -92,16 +95,22 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
-def _primes_through(n: int) -> np.ndarray:
-    """All primes <= n, sliced from the module table, which doubles its limit to grow."""
+def _primes_through(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(all primes p <= n, their _log_weight(p)), sliced from the module tables.
+
+    The tables double their limit to grow, and the weights are computed once,
+    when a prime enters the table.
+    """
     global _prime_cache
-    limit, table = _prime_cache
+    limit, table, weights = _prime_cache
     if n > limit:
         limit = max(n, 2 * limit)
         table = primes_upto(limit)
-        table.flags.writeable = False
-        _prime_cache = (limit, table)
-    return table[: table.searchsorted(n, side="right")]
+        weights = np.array([_log_weight(p) for p in table.tolist()], dtype=np.int64)
+        table.flags.writeable = weights.flags.writeable = False
+        _prime_cache = (limit, table, weights)
+    count = table.searchsorted(n, side="right")
+    return table[:count], weights[:count]
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,7 @@ def lambda_at(n: int) -> int:
         raise ValueError(f"lambda(n) requires n >= 1, got {n}")
     m = n
     omega = 0
-    for p in _primes_through(_SMALL_PRIME_LIMIT):
+    for p in _primes_through(_SMALL_PRIME_LIMIT)[0]:
         p = int(p)
         if p * p > m:
             break
@@ -206,7 +215,8 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
     log of their product; n has one further prime factor above sqrt(hi)
     exactly when A(n) < (S - 1)*floor(log2 n) (see the module docstring for
     the proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within
-    int16.  The sieving primes come from the module's prime table.
+    int16.  The sieving primes and their weights come from the module's prime
+    table.
 
     Args:
         lo: window start (inclusive), >= 1
@@ -237,8 +247,8 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
         acc[pos : pos + n] = table[off : off + n]
         pos, off = pos + n, 0
     done = dict(_WHEEL)  # prime -> highest power already in acc
-    for p in _primes_through(math.isqrt(hi)).tolist():
-        w = _log_weight(p)
+    primes, weights = _primes_through(math.isqrt(hi))
+    for p, w in zip(primes.tolist(), weights.tolist()):
         pk = p ** (done.get(p, 0) + 1)
         while pk <= hi:
             start = -lo % pk
@@ -253,9 +263,13 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
         a = max(lo, 1 << k) - lo
         b = min(hi + 1, 1 << (k + 1)) - lo
         np.less(acc[a:b], 2 * (_LOG_SCALE - 1) * k, out=big[a:b])
-    odd = (acc & 1).astype(np.int8)
-    np.bitwise_xor(odd, big, out=odd)
-    values = 1 - 2 * odd
+    # lambda(n) = (-1)^(parity + [a prime above sqrt(hi) divides n]), mapped in place
+    acc &= 1
+    values = acc.astype(np.int8)
+    values ^= big
+    values *= -2
+    values += 1
+    del acc, big  # freed before LambdaBlock's checks allocate theirs
     return LambdaBlock(lo=lo, values=values)
 
 

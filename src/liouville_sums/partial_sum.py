@@ -36,49 +36,64 @@ of the N - 1 errors, in whatever order they are added, is within
 gamma_{N-2} sum|e_j| of their exact sum.  Blocks hold
 N <= MAX_SEGMENT_SIZE = 2^25 terms, so gamma_{N-1} < 2^-28 and
 gamma_{N-1}^2 < u/8.  Hence |r - s| <= (1 + 1/8) u sum|x| < eps *
-block_abs_sum, the budget of (b).  (block_abs_sum is the float sum of the
+block_abs_sum, the budget of (b).  (block_abs_sum is a float sum of the
 weights 1/n^alpha = |x_i|, itself within a relative 2^-28 of sum|x|, well
 inside the remaining slack.)  The proof takes np.cumsum to be the
 sequential recurrence above, as the per-X bounds below also do; the test
 suite checks that it is on the numpy it runs with.
 
-Sign scanning makes one pass per block: it computes the block's terms once,
-takes their prefix sums once, folds the block's Sum2 over them into the
-carried state, and evaluates the running sum at every integer X in the block
-from the same prefix sums and the state carried into the block.  Within a
-block the per-X error bound uses the standard worst case for sequential
-summation, which is far looser than the carried Neumaier bound but still
-many orders below the observed values.  The first violation found by the
-scan is confirmed with the tight accumulator, resumed from the state
-carried into its block.
+The chunk walk.  A block's float work runs _CHUNK integers at a time
+(_Walker), in a few buffers allocated once per scan or evaluation, so a
+block in flight holds about 3 MB of floats whatever the sieve block size.
+Each chunk's weights and terms are built in place, and its prefix sums are
+seeded with the last prefix sum of the chunk before, so they are the block's
+s_j bit for bit.  The chunk's TwoSum errors are summed and added to the
+block's error sum, and its weights likewise to the block's weight sum.  The
+first chunk also holds the block's first integer, whose s_1 = x_1 is exact,
+so every chunk sums the errors of _CHUNK additions (the last chunk fewer).
+The block is folded into the carried state once, from those scalars
+(_fold).  At alpha = 0 a block that is only folded takes just its int64 sum.
 
-Per-X bounds and the block bound.  A block of N weights w_i = 1/n^alpha
+Sign scanning makes one pass per block: each chunk, as it is walked,
+evaluates the running sum at its X from its prefix sums and the state
+carried into the block, classifies them and writes its trace rows; the
+block is folded when its last chunk is done.  Within a block the per-X
+error bound uses the standard worst case for sequential summation, which
+is far looser than the carried Neumaier bound but still many orders below
+the observed values.  The first violation found by the scan is confirmed
+with the tight accumulator, which walks the block's int8 values again up
+to it from the state carried into the block.
+
+Per-X bounds and the chunk bound.  A block of N weights w_i = 1/n^alpha
 follows a carried state with total `carry` and bound E.  The scan's value at
 the block's j-th integer (j = 1..N) is fl(carry + c_j), c_j the float prefix
 sums of the terms, and its bound is the binary64 evaluation, in this order, of
 
   e_j = E + eps ((j + 1 + K) C_j + |carry|),
 
-C_j the float prefix sums of the weights (_per_x_errs).  The C_j never
+C_j the float sum of the first j weights that the walk gives: the block's
+weight sum through the chunks before j's, then the weights of j's chunk
+through j added in order (_per_x_errs).  Within a chunk the C_j never
 decrease, because fl(a + w) >= a for w >= 0, and every operation of e_j is
-rounded to nearest, hence monotone, on nonnegative operands; so e_j <= e_N
-for every j.  Let S be the float (pairwise) sum of the same N weights, as
-the fold also takes it.  Any order of summing N nonnegative numbers lands
-within a relative gamma_{N-1} = (N - 1) u / (1 - (N - 1) u) of their exact
-sum s, so
+rounded to nearest, hence monotone, on nonnegative operands; so e_j <= e_n
+for every j of a chunk that ends at the n-th integer.  Let S be the block's
+weight sum through that chunk, as the walk takes it.  Any order of summing
+n nonnegative numbers lands within a relative
+gamma_{n-1} = (n - 1) u / (1 - (n - 1) u) of their exact sum s, and C_n and
+S are two such sums, so
 
-  C_N <= (1 + gamma) s <= S (1 + gamma) / (1 - gamma) < S (1 + 2^-26),
+  C_n <= (1 + gamma) s <= S (1 + gamma) / (1 - gamma) < S (1 + 2^-26),
 
-since N <= 2^25 puts gamma below 2^-28 (1 + 2^-27).  The float
-C* = fl(S (1 + 2^-25)) >= S (1 + 2^-25)(1 - u) exceeds that, and e_N
-evaluated with C* in place of C_N is the scalar errmax >= every e_j (again by
-monotone rounding; _block_errmax).  At alpha = 0 every e_j is 0 and so is
-errmax.
+since n <= 2^25 puts gamma below 2^-28 (1 + 2^-27).  The float
+C* = fl(S (1 + 2^-25)) >= S (1 + 2^-25)(1 - u) exceeds that, and e_n
+evaluated with C* in place of C_n is the scalar errmax >= every e_j of the
+chunk (again by monotone rounding; _block_errmax).  At alpha = 0 every e_j
+is 0 and so is errmax.
 
-A block is classified from that one scalar.  For a NONPOSITIVE claim,
-fl(max v + errmax) <= 0 implies fl(v_j + e_j) <= 0 at every X of the block
+A chunk is classified from that one scalar.  For a NONPOSITIVE claim,
+fl(max v + errmax) <= 0 implies fl(v_j + e_j) <= 0 at every X of the chunk
 (and fl(min v - errmax) >= 0 likewise for NONNEGATIVE), so every X conforms
-and the per-X arrays are never built.  Only a block that fails this test
+and the per-X arrays are never built.  Only a chunk that fails this test
 (one holding a violation, an indeterminate X or a value within errmax of the
 claim's boundary) builds e_j at each X and classifies X by X, with the
 outcome the per-X test alone would give.  A traced scan evaluates e_j from
@@ -95,7 +110,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -177,81 +192,148 @@ def _term_error_constant(alpha: float, n_hi: int) -> float:
     return 2.0 + 2.0 * alpha * max(1.0, math.log(n_hi))
 
 
-def _block_terms(block: LambdaBlock, alpha: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(terms, weights) over the block: terms lambda(n)/n^alpha, weights 1/n^alpha.
+def _inverse_powers(ns: np.ndarray, alpha: float) -> np.ndarray:
+    """Replace each integer n of the float64 array ns by 1/n^alpha in place, and return ns.
 
-    The weights are |terms| exactly.  At alpha = 0 the terms are the int8
-    values themselves and the weights are None: callers take the exact
-    integer path exactly when the weights are None.
+    Bit for bit 1/sqrt(n), 1/n and exp(-alpha * log(n)); only the float path
+    (alpha > 0) asks.
     """
-    if alpha == 0.0:
-        return block.values, None
-    # built in place, bit for bit 1/sqrt(n), 1/n and exp(-alpha * log(n))
-    weights = np.arange(block.lo, block.hi + 1, dtype=np.float64)
     if alpha == 0.5:
-        np.sqrt(weights, out=weights)
-        np.divide(1.0, weights, out=weights)
+        np.sqrt(ns, out=ns)
+        np.divide(1.0, ns, out=ns)
     elif alpha == 1.0:
-        np.divide(1.0, weights, out=weights)
+        np.divide(1.0, ns, out=ns)
     else:
-        np.log(weights, out=weights)
-        weights *= -alpha
-        np.exp(weights, out=weights)
-    return block.values * weights, weights
+        np.log(ns, out=ns)
+        ns *= -alpha
+        np.exp(ns, out=ns)
+    return ns
 
 
-#: TwoSum errors formed per pass of _sum2; bounds the memory of its temporaries.
-_SUM2_CHUNK = 1 << 16
+def _sum2_err(terms: np.ndarray, prefix: np.ndarray, scratch: np.ndarray) -> float:
+    """Float sum of the exact errors (prefix[j-1] + terms[j]) - prefix[j], j >= 1.
 
-
-def _sum2(terms: np.ndarray, prefix: np.ndarray) -> float:
-    """Sum of a non-empty float64 array within u|s| + gamma_{N-1}^2 sum|x| (module docstring).
-
-    prefix is np.cumsum(terms), the sequential prefix sums s_j.  The exact
-    error e_j = (s_{j-1} + x_j) - s_j of each addition is recovered by
-    Knuth's branch-free TwoSum, _SUM2_CHUNK additions at a time, and
-    s_N plus the float sum of the errors is returned.
+    prefix holds the sequential sums prefix[j] = fl(prefix[j-1] + terms[j]);
+    Knuth's branch-free TwoSum recovers the error of each addition exactly,
+    in the 2 x (len(terms) - 1) floats of scratch.  Sum2 adds this sum to the
+    last prefix sum (module docstring).
     """
-    err = 0.0
-    for lo in range(1, len(terms), _SUM2_CHUNK):
-        s = prefix[lo : lo + _SUM2_CHUNK]
-        a, b = prefix[lo - 1 : lo - 1 + len(s)], terms[lo : lo + len(s)]
-        bv = s - a  # the part of b that reached s
-        av = s - bv  # the part of a that reached s
-        np.subtract(a, av, out=av)
-        np.subtract(b, bv, out=bv)
-        av += bv
-        err += float(np.sum(av))
-    return float(prefix[-1]) + err
+    a, b, s = prefix[:-1], terms[1:], prefix[1:]
+    bv = np.subtract(s, a, out=scratch[0, : len(s)])  # the part of b that reached s
+    av = np.subtract(s, bv, out=scratch[1, : len(s)])  # the part of a that reached s
+    np.subtract(a, av, out=av)
+    np.subtract(b, bv, out=bv)
+    av += bv
+    return float(np.sum(av))
 
 
-def _fold_prefix(terms: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
-    """The prefix sums _fold reads: all for Sum2, at alpha = 0 only the last, an int64 sum."""
-    if weights is None:  # far cheaper than a float64 cumsum of the int8 values
-        return np.sum(terms, dtype=np.int64, keepdims=True)
-    return np.cumsum(terms, dtype=np.float64)
+#: Integers per chunk of a block's float working set (module docstring).
+_CHUNK = 1 << 16
 
 
-def _fold(
-    state: SumState, terms: np.ndarray, weights: Optional[np.ndarray], prefix: np.ndarray
-) -> float:
-    """Add the terms of n = state.upto + 1, state.upto + 2, ... to the running sum.
+@dataclass
+class _BlockSum:
+    """What a chunk walk has gathered of one block, for _fold.
 
-    weights are |terms| as returned by _block_terms and prefix holds the
-    terms' sequential prefix sums (_fold_prefix).  At alpha = 0 only the last,
-    the block sum, is read: exact, an integer below 2^53.  Otherwise the block
-    sum is _sum2's over them.  Mutates state and returns block_abs, the
-    block's float weight sum (its length at alpha = 0) added to abs_sum.
+    Attributes:
+        n: integers walked, from the block's first
+        last: the last prefix sum s_n of their terms, block-local
+        err: float sum of the TwoSum errors of the additions s_j = fl(s_{j-1} + x_j)
+        weight_sum: float sum of their weights 1/n^alpha (n at alpha = 0)
     """
-    hi = state.upto + len(terms)
-    if weights is None:
-        block_sum = float(prefix[-1])
-        block_abs = float(len(terms))
-    else:
-        block_sum = _sum2(terms, prefix)
-        block_abs = float(np.sum(weights))
+
+    n: int = 0
+    last: float = 0.0
+    err: float = 0.0
+    weight_sum: float = 0.0
+
+
+class _Walker:
+    """Walks blocks of lambda values _CHUNK integers at a time through buffers allocated once.
+
+    Slot 0 of terms, prefix and weights holds what a chunk continues: the
+    block's last prefix sum and its weight sum through the chunks before.
+    """
+
+    def __init__(self, alpha: float) -> None:
+        self.alpha = alpha
+        self.offsets = np.arange(_CHUNK + 1, dtype=np.float64)
+        self.terms, self.prefix, self.weights = (np.empty(_CHUNK + 2) for _ in range(3))
+        self.scratch = np.empty((2, _CHUNK + 1))
+
+    def chunks(
+        self, values: np.ndarray, lo: int, acc: _BlockSum
+    ) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+        """Yield (a, prefix, weights) for each chunk values[a : a + len(prefix)] of a block from lo.
+
+        Each chunk's terms are built (load), their prefix sums taken, seeded
+        with acc.last so that they continue the block's sequential s_j, and
+        the chunk added to acc, before it is yielded.  prefix holds the
+        block-local prefix sums, and the caller may overwrite them.
+        """
+        n = len(values)
+        # the first chunk also holds the block's first integer, whose s_1 is exact
+        edges = [0, *range(_CHUNK + 1, n, _CHUNK), n]
+        for a, b in zip(edges, edges[1:]):
+            m = b - a
+            weights = self.load(values[a:b], lo + a, acc)
+            x, s = self.terms[: m + 1], self.prefix[: m + 1]
+            x[0] = acc.last
+            np.cumsum(x, out=s)
+            if weights is None:  # integer terms and prefix sums: no rounding error
+                acc.weight_sum += m
+            else:
+                acc.weight_sum += float(np.sum(weights[1:]))
+                skip = 1 if a == 0 else 0  # a block's first addition, to s_0 = 0, is exact
+                acc.err += _sum2_err(x[skip:], s[skip:], self.scratch)
+            acc.n += m
+            acc.last = float(s[m])
+            yield a, s[1:], weights
+
+    def load(self, values: np.ndarray, lo: int, acc: _BlockSum) -> Optional[np.ndarray]:
+        """Build the terms of one chunk of lambda values from lo in terms[1:], and return its weights.
+
+        The weights are None at alpha = 0, where the terms are the values
+        themselves.  Otherwise they are 1/n^alpha behind slot 0, which holds
+        the block's weight sum before the chunk, acc.weight_sum, so that
+        np.cumsum(weights)[1:] are the C_j of the chunk's per-X bounds.
+        """
+        m = len(values)
+        if self.alpha == 0.0:
+            self.terms[1 : m + 1] = values
+            return None
+        weights = self.weights[: m + 1]
+        weights[0] = acc.weight_sum
+        np.add(self.offsets[:m], lo, out=weights[1:])
+        _inverse_powers(weights[1:], self.alpha)
+        np.multiply(values, weights[1:], out=self.terms[1 : m + 1])
+        return weights
+
+    def block_sum(self, values: np.ndarray, lo: int) -> _BlockSum:
+        """The _BlockSum of a block of values from lo that is only folded, not classified."""
+        acc = _BlockSum()
+        if self.alpha == 0.0:  # far cheaper than float prefix sums of the int8 values
+            acc.n, acc.weight_sum = len(values), float(len(values))
+            acc.last = float(np.sum(values, dtype=np.int64))
+        else:
+            for _ in self.chunks(values, lo, acc):
+                pass
+        return acc
+
+
+def _fold(state: SumState, acc: _BlockSum) -> None:
+    """Add a walked block of n = state.upto + 1, ..., state.upto + acc.n to the running sum.
+
+    The block sum is Sum2's, acc.last + acc.err: exact at alpha = 0, an
+    integer below 2^53, where the bound does not move.  It is folded into
+    the state with a Neumaier-compensated addition; err_bound and abs_sum
+    advance per the module's documented bound.
+    """
+    hi = state.upto + acc.n
+    block_sum = acc.last + acc.err
+    if state.alpha != 0.0:
         k = _term_error_constant(state.alpha, hi)
-        state.err_bound += EPS * (k + 4.0) * block_abs
+        state.err_bound += EPS * (k + 4.0) * acc.weight_sum
 
     # Neumaier-compensated addition of the block sum.
     t = state.value + block_sum
@@ -260,19 +342,18 @@ def _fold(
     else:
         state.comp += (block_sum - t) + state.value
     state.value = t
-    state.abs_sum += block_abs
+    state.abs_sum += acc.weight_sum
     state.upto = hi
-    return block_abs
 
 
 def accumulate(state: SumState, block: LambdaBlock) -> SumState:
     """Add lambda(n)/n^alpha for every n in the block to the running sum.
 
     The block sum is exact at alpha = 0; otherwise it is Sum2 over the
-    terms' sequential prefix sums, within u|s| + gamma_{N-1}^2 sum|terms|
-    of the exact sum s of the N float terms.  It is folded into the state
-    with a Neumaier-compensated addition; err_bound and abs_sum advance per
-    the module's documented bound.
+    terms' sequential prefix sums, taken chunk by chunk, within
+    u|s| + gamma_{N-1}^2 sum|terms| of the exact sum s of the N float terms.
+    It is folded into the state with a Neumaier-compensated addition;
+    err_bound and abs_sum advance per the module's documented bound.
 
     Args:
         state: running sum; mutated in place and returned.
@@ -285,8 +366,7 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
         raise ValueError(
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
-    terms, weights = _block_terms(block, state.alpha)
-    _fold(state, terms, weights, _fold_prefix(terms, weights))
+    _fold(state, _Walker(state.alpha).block_sum(block.values, block.lo))
     return state
 
 
@@ -308,8 +388,9 @@ def evaluate(
     if X < 1:
         raise ValueError(f"X must be >= 1, got {X}")
     state = SumState(alpha=alpha)
+    walker = _Walker(alpha)
     for block in stream_lambda_range(1, X, segment_size):
-        accumulate(state, block)
+        _fold(state, walker.block_sum(block.values, block.lo))
     return state.total(), state.err_bound
 
 
@@ -359,7 +440,7 @@ class SignReport:
 def _per_x_errs(err_bound: float, carry: float, k: float, i, cum_weights):
     """The scan's bound e_j on its value at block position i = j - 1 (module docstring).
 
-    cum_weights is the float prefix sum of the block's weights through i,
+    cum_weights is the walk's float sum C_j of the block's weights through i,
     carry the carried total before the block, err_bound its bound and k
     _term_error_constant's.  Floats, or elementwise on arrays.
     """
@@ -367,19 +448,20 @@ def _per_x_errs(err_bound: float, carry: float, k: float, i, cum_weights):
 
 
 def _block_errmax(err_bound: float, carry: float, k: float, n: int, weight_sum: float) -> float:
-    """At least every _per_x_errs of a block of n weights whose float sum is weight_sum.
+    """At least every _per_x_errs of a chunk that ends at the block's n-th weight.
 
-    The bound is e_N with C* = fl(weight_sum * (1 + 2^-25)) for the last
-    prefix sum C_N; the module docstring proves C* >= C_N for n <= 2^25.
+    weight_sum is a float sum of the block's first n weights.  The bound is
+    e_n with C* = fl(weight_sum * (1 + 2^-25)) for C_n; the module docstring
+    proves C* >= C_n for n <= 2^25.
     """
     return _per_x_errs(err_bound, carry, k, n - 1, weight_sum * (1.0 + 2.0 ** -25))
 
 
 def _block_conforms(extreme: float, errmax: float, claimed: Sign) -> bool:
-    """True when every X of a block conforms, judged from one scalar bound.
+    """True when every X of a chunk conforms, judged from one scalar bound.
 
-    extreme is the block's largest value for NONPOSITIVE and its smallest for
-    NONNEGATIVE; errmax is at least every per-X bound of the block.
+    extreme is the chunk's largest value for NONPOSITIVE and its smallest for
+    NONNEGATIVE; errmax is at least every per-X bound of the chunk.
     """
     return bool(claimed.holds(extreme, errmax))
 
@@ -553,19 +635,20 @@ def scan_sign(
     """Classify the running sum at every integer X in [x_lo, x_hi].
 
     The sum always starts at n = 1; integers below x_lo are accumulated but
-    not classified.  Each block is sieved, its terms computed once (at
-    alpha = 0 they stay integers) and their prefix sums taken once.  The
-    block is folded into the carried state from those prefix sums first,
-    then classified against the state carried into it; at alpha = 0 a block
-    wholly below x_lo takes only its int64 sum (_fold_prefix).  A block whose
-    extreme value clears one scalar bound errmax, at least every per-X bound
-    of the block, conforms at every X; only a block that fails that test has
-    its per-X bounds built and each X classified (module docstring).  The
-    first violation is confirmed with the tight compensated accumulator,
-    resumed from the state carried into its block, before the scan moves on
-    (skipped for alpha = 0, where arithmetic is exact).  Resumed scans keep
-    the same block boundaries, because the checkpoint pins segment_size, so
-    the confirmed value is the one evaluate(X, alpha, segment_size) returns.
+    not classified.  Each block is sieved once and walked _CHUNK integers at
+    a time (module docstring): each chunk's terms are computed once (at
+    alpha = 0 they stay integers) and their prefix sums taken once, and the
+    chunk is classified against the state carried into the block; the block
+    is folded into the carried state after its last chunk.  At alpha = 0 a
+    block wholly below x_lo takes only its int64 sum.  A chunk whose extreme
+    value clears one scalar bound errmax, at least every per-X bound of the
+    chunk, conforms at every X; only a chunk that fails that test has its
+    per-X bounds built and each X classified.  The first violation is
+    confirmed with the tight compensated accumulator, resumed from the
+    state carried into its block, before the scan moves on (skipped for
+    alpha = 0, where arithmetic is exact).  Resumed scans keep the same
+    block boundaries, because the checkpoint pins segment_size, so the
+    confirmed value is the one evaluate(X, alpha, segment_size) returns.
 
     Args:
         x_lo, x_hi: inclusive scan range, 1 <= x_lo <= x_hi
@@ -625,69 +708,71 @@ def scan_sign(
         if trace_fh is not None and not resuming:
             trace_fh.write(TRACE_HEADER + "\n")
 
+        walker = _Walker(alpha)
         for block in stream_lambda_range(state.upto + 1, x_hi, segment_size):
-            terms, weights = _block_terms(block, alpha)
-            # Classify only the part of the block inside [x_lo, x_hi].
-            start_i = max(0, x_lo - block.lo)
-            classified = start_i < len(terms)
-            # values lives until the next block rebinds it: freed sooner, malloc
-            # trims the heap and each block faults its 8 MB back in.
-            values = np.cumsum(terms, dtype=np.float64) if classified else _fold_prefix(terms, weights)
             start = dataclasses.replace(state)  # the state carried into the block
-            weight_sum = _fold(state, terms, weights, values)
-
-            if classified:
+            confirm = None  # block position of a first violation to confirm
+            if block.hi < x_lo:
+                acc = walker.block_sum(block.values, block.lo)
+            else:
+                acc = _BlockSum()
                 carry, err_bound = start.total(), start.err_bound
-                # exact at alpha = 0: carry and the prefix sums are integers below 2^53
-                values += carry
-                xs0 = block.lo + start_i
-                v = values[start_i:]
+                k = _term_error_constant(alpha, block.hi)
+                for a, v, weights in walker.chunks(block.values, block.lo, acc):
+                    # Classify only the part of the chunk inside [x_lo, x_hi].
+                    c0 = max(0, x_lo - block.lo - a)
+                    if c0 >= len(v):
+                        continue
+                    i0 = a + c0  # the block position of the chunk's first classified X
+                    v = v[c0:]
+                    # exact at alpha = 0: carry and the prefix sums are integers below 2^53
+                    v += carry
+                    xs0 = block.lo + i0
 
-                i_min = int(np.argmin(v))
-                if float(v[i_min]) < tally.min_value:
-                    tally.min_value = float(v[i_min])
-                    tally.argmin = xs0 + i_min
-                i_max = int(np.argmax(v))
-                if float(v[i_max]) > tally.max_value:
-                    tally.max_value = float(v[i_max])
-                    tally.argmax = xs0 + i_max
+                    i_min = int(np.argmin(v))
+                    if float(v[i_min]) < tally.min_value:
+                        tally.min_value = float(v[i_min])
+                        tally.argmin = xs0 + i_min
+                    i_max = int(np.argmax(v))
+                    if float(v[i_max]) > tally.max_value:
+                        tally.max_value = float(v[i_max])
+                        tally.argmax = xs0 + i_max
 
-                if weights is None:
-                    errmax = 0.0
+                    if weights is None:
+                        errmax = 0.0
 
-                    def errs_at(r):
-                        return np.zeros(len(r))
-                else:
-                    k = _term_error_constant(alpha, block.hi)
-                    errmax = _block_errmax(err_bound, carry, k, len(terms), weight_sum)
+                        def errs_at(r):
+                            return np.zeros(len(r))
+                    else:
+                        errmax = _block_errmax(err_bound, carry, k, i0 + len(v), acc.weight_sum)
 
-                    def errs_at(r):
-                        i = start_i + r
-                        return _per_x_errs(err_bound, carry, k, i, np.cumsum(weights)[i])
+                        def errs_at(r):
+                            return _per_x_errs(err_bound, carry, k, i0 + r, np.cumsum(weights)[1 + c0 + r])
 
-                extreme = v[i_max] if claimed_sign is Sign.NONPOSITIVE else v[i_min]
-                if _block_conforms(float(extreme), errmax, claimed_sign):
-                    violating = indeterminate = np.broadcast_to(False, v.shape)
-                else:
-                    violating, indeterminate = _classify_arrays(
-                        v, errs_at(np.arange(len(v))), claimed_sign
-                    )
-                    n_viol = int(np.count_nonzero(violating))
-                    if n_viol and tally.first_violation is None:
-                        i = start_i + int(np.argmax(violating))
-                        tally.first_violation = block.lo + i
-                        if weights is not None:
-                            _confirm_in_block(
-                                start, terms[: i + 1], weights[: i + 1], claimed_sign
-                            )
-                    tally.violations += n_viol
-                    tally.indeterminate += int(np.count_nonzero(indeterminate))
+                    extreme = v[i_max] if claimed_sign is Sign.NONPOSITIVE else v[i_min]
+                    if _block_conforms(float(extreme), errmax, claimed_sign):
+                        violating = indeterminate = np.broadcast_to(False, v.shape)
+                    else:
+                        violating, indeterminate = _classify_arrays(
+                            v, errs_at(np.arange(len(v))), claimed_sign
+                        )
+                        n_viol = int(np.count_nonzero(violating))
+                        if n_viol and tally.first_violation is None:
+                            i = i0 + int(np.argmax(violating))
+                            tally.first_violation = block.lo + i
+                            if weights is not None:
+                                confirm = i
+                        tally.violations += n_viol
+                        tally.indeterminate += int(np.count_nonzero(indeterminate))
 
-                if trace_fh is not None:
-                    _emit_trace_rows(
-                        trace_fh, alpha, trace_every, xs0, v, errs_at, violating, indeterminate,
-                        x_lo, x_hi,
-                    )
+                    if trace_fh is not None:
+                        _emit_trace_rows(
+                            trace_fh, alpha, trace_every, xs0, v, errs_at, violating, indeterminate,
+                            x_lo, x_hi,
+                        )
+            _fold(state, acc)
+            if confirm is not None:
+                _confirm_in_block(start, block.values[: confirm + 1], block.lo, claimed_sign, walker)
 
             if progress is not None:
                 progress(state.upto)
@@ -699,7 +784,6 @@ def scan_sign(
                     trace_fh.flush()  # the rows through state.upto are on disk first
                     trace_bytes = os.fstat(trace_fh.fileno()).st_size
                 _write_checkpoint(checkpoint_path, scan, state, tally, trace_bytes)
-            del terms, weights  # freed before the next block is sieved
 
     return SignReport(
         alpha=alpha,
@@ -750,19 +834,19 @@ def _emit_trace_rows(
 
 
 def _confirm_in_block(
-    start: SumState, terms: np.ndarray, weights: np.ndarray, claimed: Sign
+    start: SumState, values: np.ndarray, lo: int, claimed: Sign, walker: _Walker
 ) -> None:
-    """Confirm a violation at X = start.upto + len(terms) with the tight accumulator.
+    """Confirm a violation at X = start.upto + len(values) with the tight accumulator.
 
-    start is the state carried at the start of the violation's block and terms
-    (with their weights) run from that block's first integer to X, so the fold
-    into a copy does the arithmetic of evaluate(X, alpha, segment_size).  Slack
-    in the scan's per-X bound can only hide a violation, never invent one; this
-    guards against a per-X bound that is too small, or a mislabelled X (never
-    observed outside tests).
+    start is the state carried at the start of the violation's block, lo that
+    block's first integer and values its lambda values from lo to X, so the
+    walk and fold into a copy do the arithmetic of evaluate(X, alpha,
+    segment_size).  Slack in the scan's per-X bound can only hide a
+    violation, never invent one; this guards against a per-X bound that is
+    too small, or a mislabelled X (never observed outside tests).
     """
     check = dataclasses.replace(start)
-    _fold(check, terms, weights, _fold_prefix(terms, weights))
+    _fold(check, walker.block_sum(values, lo))
     x, value, err = check.upto, check.total(), check.err_bound
     if not claimed.violated(value, err):
         raise RuntimeError(

@@ -143,7 +143,8 @@ class TestSieveSegment:
 
 @pytest.fixture
 def fresh_prime_cache(monkeypatch):
-    monkeypatch.setattr(liouville, "_prime_cache", (0, np.empty(0, dtype=np.int64)))
+    empty = np.empty(0, dtype=np.int64)
+    monkeypatch.setattr(liouville, "_prime_cache", (0, empty, empty))
 
 
 class TestPrimeCache:
@@ -164,7 +165,17 @@ class TestPrimeCache:
 
     def test_slices_hold_exactly_the_primes_through_n(self, fresh_prime_cache):
         for n in (1, 2, 5, 100, 13, 1000, 997, 998, 2):
-            assert liouville._primes_through(n).tolist() == primes_upto(n).tolist()
+            assert liouville._primes_through(n)[0].tolist() == primes_upto(n).tolist()
+
+    def test_cached_weights_follow_the_table(self, fresh_prime_cache):
+        # each prime's sieve weight is kept beside it, also after the table grows
+        for n in (1, 30, 31, 200, 5000, 2):
+            primes, weights = liouville._primes_through(n)
+            assert primes.tolist() == primes_upto(n).tolist()
+            assert weights.tolist() == [liouville._log_weight(p) for p in primes.tolist()]
+            limit, table, cached = liouville._prime_cache
+            assert len(cached) == len(table) and not cached.flags.writeable
+            assert cached.tolist() == [liouville._log_weight(p) for p in table.tolist()]
 
 
 class TestLambdaBlock:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -125,6 +126,18 @@ def _mixed_sign_arrays():
     return build()
 
 
+class _FloatTerms(partial_sum._Walker):
+    """A walker whose terms are the values themselves, any floats, with weights |values|."""
+
+    def load(self, values, lo, acc):
+        m = len(values)
+        self.terms[1 : m + 1] = values
+        weights = self.weights[: m + 1]
+        weights[0] = acc.weight_sum
+        np.abs(values, out=weights[1:])
+        return weights
+
+
 def _sum2_bound(exact: Fraction, abs_sum: Fraction, n: int) -> Fraction:
     """Sum2's error bound u|s| + gamma_{n-1}^2 sum|x| (partial_sum docstring), exactly."""
     u = Fraction(EPS) / 2
@@ -144,7 +157,7 @@ class TestBlockSum:
         # docstring), which puts r within eps * sum|x| of the correctly rounded fsum
         terms = np.array(xs, dtype=np.float64)
         state = SumState(alpha=0.5)
-        partial_sum._fold(state, terms, np.abs(terms), np.cumsum(terms))
+        partial_sum._fold(state, _FloatTerms(0.5).block_sum(terms, 1))
         r = state.total()
         exact = sum(Fraction(x) for x in xs)
         abs_sum = sum(abs(Fraction(x)) for x in xs)
@@ -153,23 +166,27 @@ class TestBlockSum:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_fold_from_its_prefix_returns_the_weight_sum(self, alpha):
-        # the fold from _fold_prefix (at alpha = 0 the int64 block sum alone)
-        # equals the fold from the full float prefix sums, and returns the
-        # weight sum scan_sign bounds the block's per-X errors with
+        # the fold of a block that is only summed (at alpha = 0 the int64 block
+        # sum alone) equals the fold from the full float prefix sums of the
+        # chunk walk, which gathers the weight sum scan_sign bounds the per-X
+        # errors with
         block = LambdaBlock(1000, sieve_segment(1000, 4999).values)
-        terms, weights = partial_sum._block_terms(block, alpha)
+        walker, walked = partial_sum._Walker(alpha), partial_sum._BlockSum()
+        [(_, _, weights)] = walker.chunks(block.values, block.lo, walked)
+        weights = None if weights is None else weights[1:].copy()
         full, short = SumState(alpha=alpha, upto=999), SumState(alpha=alpha, upto=999)
-        got = partial_sum._fold(full, terms, weights, np.cumsum(terms, dtype=np.float64))
-        partial_sum._fold(short, terms, weights, partial_sum._fold_prefix(terms, weights))
+        partial_sum._fold(full, walked)
+        got = walked.weight_sum
+        partial_sum._fold(short, walker.block_sum(block.values, block.lo))
         assert full == short
-        assert got == (len(terms) if weights is None else float(np.sum(weights)))
+        assert got == (len(block) if weights is None else float(np.sum(weights)))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 17])
     def test_sum2_across_chunks(self, n, monkeypatch):
         # blocks of 1, 2, C, C + 1, C + 2 and 2C + 1 terms with the chunk C = 8: the
         # result is within Sum2's bound of the exact sum, also where every
         # prefix sum loses the small terms to the large ones
-        monkeypatch.setattr(partial_sum, "_SUM2_CHUNK", 8)
+        monkeypatch.setattr(partial_sum, "_CHUNK", 8)
         rng = np.random.default_rng(n)
         big = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(50, 60, n)
         cases = [
@@ -179,7 +196,9 @@ class TestBlockSum:
             np.resize([1e16, 1.0, -1e16, 1.0], n),
         ]
         for x in cases:
-            r = partial_sum._sum2(x, np.cumsum(x))
+            state = SumState(alpha=0.5)
+            partial_sum._fold(state, _FloatTerms(0.5).block_sum(x, 1))
+            r = state.total()
             exact = sum(Fraction(v) for v in x.tolist())
             abs_sum = sum(abs(Fraction(v)) for v in x.tolist())
             assert abs(Fraction(r) - exact) <= _sum2_bound(exact, abs_sum, n), x
@@ -214,11 +233,11 @@ class TestBlockSum:
         seen = []
         real = partial_sum._confirm_in_block
 
-        def spy(start, terms, weights, claimed_sign):
+        def spy(start, values, lo, claimed_sign, walker):
             check = dataclasses.replace(start)
-            partial_sum._fold(check, terms, weights, np.cumsum(terms, dtype=np.float64))
+            partial_sum._fold(check, walker.block_sum(values, lo))
             seen.append((check.upto, check.total(), check.err_bound))
-            return real(start, terms, weights, claimed_sign)
+            return real(start, values, lo, claimed_sign, walker)
 
         monkeypatch.setattr(partial_sum, "_confirm_in_block", spy)
         rep = scan_sign(5003, 6000, alpha, claimed, segment_size=seg)
@@ -232,7 +251,9 @@ class TestBlockBound:
     def test_block_terms_bit_identical(self, alpha, lo, n):
         # the weights built in place equal the plain expressions bit for bit
         values = sieve_segment(lo, lo + n - 1).values
-        terms, weights = partial_sum._block_terms(LambdaBlock(lo, values), alpha)
+        walker = partial_sum._Walker(alpha)
+        weights = walker.load(values, lo, partial_sum._BlockSum())[1:]
+        terms = walker.terms[1 : n + 1]
         x = np.arange(lo, lo + n, dtype=np.float64)
         want = {0.5: 1 / np.sqrt(x), 1.0: 1 / x}.get(alpha, np.exp(-alpha * np.log(x)))
         assert np.array_equal(weights.view(np.uint64), want.view(np.uint64))
@@ -245,7 +266,7 @@ class TestBlockBound:
         below = above = unslacked_short = 0
         for alpha in (0.25, 0.5, 0.75, 1.0):
             for lo, n in [(1, 2 ** 20), (17, 7), (10 ** 6, 777), (10 ** 8, 2 ** 16), (3, 2 ** 18)]:
-                _, weights = partial_sum._block_terms(LambdaBlock(lo, np.ones(n, np.int8)), alpha)
+                weights = partial_sum._inverse_powers(np.arange(lo, lo + n, dtype=np.float64), alpha)
                 k = partial_sum._term_error_constant(alpha, lo + n - 1)
                 cum = np.cumsum(weights)
                 total = float(np.sum(weights))
@@ -262,7 +283,7 @@ class TestBlockBound:
     def test_per_x_errs_is_the_scan_expression(self):
         # errs_j = E + eps ((j + 1 + K) C_j + |carry|) with j = 1..N, as the
         # scan built it before it took one scalar per block
-        _, weights = partial_sum._block_terms(LambdaBlock(5000, np.ones(3001, np.int8)), 0.5)
+        weights = partial_sum._inverse_powers(np.arange(5000, 8001, dtype=np.float64), 0.5)
         k, err_bound, carry = 1.0, 4.5e-14, -1.25
         j = np.arange(1, len(weights) + 1, dtype=np.float64)
         want = err_bound + EPS * ((j + 1.0 + k) * np.cumsum(weights) + abs(carry))
@@ -483,7 +504,8 @@ class TestScanSign:
 
         def spy(values, errs, claimed):
             violating, indeterminate = real(values, errs, claimed)
-            said.append((values, errs, violating, indeterminate))
+            # values is the walk's buffer, which the next chunk overwrites
+            said.append((values.copy(), errs, violating, indeterminate))
             return violating, indeterminate
 
         monkeypatch.setattr(partial_sum, "_classify_arrays", spy)
@@ -758,6 +780,105 @@ class TestScanSign:
                 checkpoint_every=30_000,
                 segment_size=2 ** 14,
             )
+
+
+class TestChunkWalk:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    def test_chunk_size_changes_nothing(self, alpha, tmp_path, monkeypatch):
+        # chunks of 7 and 1000 integers give the default chunk's report, trace
+        # X/value/classification columns and block-end states, for clean and
+        # violating scans whose ends fall inside a chunk; the first violation
+        # lies in a later chunk of its block (at the default chunk too at the
+        # 2^17 segment), and its confirmation computes evaluate(X) there
+        def run(chunk, claimed, x_lo, x_hi, seg):
+            monkeypatch.setattr(partial_sum, "_CHUNK", chunk)
+            states, confirmed = [], []
+            real = partial_sum._confirm_in_block
+
+            def confirm(start, values, lo, claimed_sign, walker):
+                check = dataclasses.replace(start)
+                partial_sum._fold(check, walker.block_sum(values, lo))
+                confirmed.append((check.upto, check.total(), check.err_bound))
+                return real(start, values, lo, claimed_sign, walker)
+
+            monkeypatch.setattr(partial_sum, "_confirm_in_block", confirm)
+            monkeypatch.setattr(
+                partial_sum, "_write_checkpoint",
+                lambda path, scan, state, tally, trace_bytes: states.append(dataclasses.replace(state)),
+            )
+            trace = tmp_path / f"trace-{chunk}.csv"
+            rep = scan_sign(
+                x_lo, x_hi, alpha, claimed, segment_size=seg, trace_path=str(trace), trace_every=97,
+                checkpoint_path=str(tmp_path / "cp.json"), checkpoint_every=seg,
+            )
+            with trace.open() as fh:
+                rows = [(r["X"], r["value"], r["classification"], r["err_bound"]) for r in csv.DictReader(fh)]
+            if rep.first_violation is not None and alpha > 0:
+                want = evaluate(rep.first_violation, alpha, seg)
+                assert confirmed == [(rep.first_violation, *want)]
+            return rep, rows, states
+
+        for claimed in Sign:
+            for x_lo, x_hi, seg, chunks in [(2503, 23_456, 5000, (7, 1000)), (70_001, 140_001, 2 ** 17, (1000,))]:
+                rep, rows, states = run(partial_sum._CHUNK, claimed, x_lo, x_hi, seg)
+                assert len(states) == x_hi // seg and len(rows) > (x_hi - x_lo) // 97
+                # a clean and a violating scan at each alpha: the sum keeps its sign here
+                holds = Sign.NONNEGATIVE if alpha == 1.0 else Sign.NONPOSITIVE
+                assert (rep.first_violation is None) == (claimed is holds)
+                for chunk in chunks:
+                    other_rep, other_rows, other_states = run(chunk, claimed, x_lo, x_hi, seg)
+                    assert other_rep == rep
+                    assert [r[:3] for r in other_rows] == [r[:3] for r in rows]
+                    # weight sums taken chunk by chunk: two float sums of the same
+                    # n <= X weights, each within gamma_{n - 1} of their exact sum
+                    for (x, *_, err), (*_, other_err) in zip(rows, other_rows):
+                        assert float(err) == pytest.approx(float(other_err), rel=2 * int(x) * EPS, abs=0)
+                    assert len(other_states) == len(states)
+                    for a, b in zip(states, other_states):
+                        assert (a.upto, a.value, a.comp) == (b.upto, b.value, b.comp)
+                        tol = 2 * a.upto * EPS
+                        assert a.abs_sum == pytest.approx(b.abs_sum, rel=tol, abs=0)
+                        assert a.err_bound == pytest.approx(b.err_bound, rel=tol, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_errmax_bounds_each_chunk_per_x_errs(self, alpha, monkeypatch):
+        # with several chunks to a block and x_lo inside one, the scalar bound
+        # each chunk is judged by is at least every per-X bound of that chunk
+        monkeypatch.setattr(partial_sum, "_CHUNK", 1000)
+        bounds, worst = [], []
+        real = partial_sum._classify_arrays
+
+        def conforms(extreme, errmax, claimed):
+            bounds.append(errmax)
+            return False  # every chunk builds its per-X bounds
+
+        def classify(values, errs, claimed):
+            worst.append(errs.max())
+            return real(values, errs, claimed)
+
+        monkeypatch.setattr(partial_sum, "_block_conforms", conforms)
+        monkeypatch.setattr(partial_sum, "_classify_arrays", classify)
+        scan_sign(2503, 20_000, alpha, Sign.NONNEGATIVE, segment_size=2 ** 12)
+        # chunks of 1001, 1000, 1000, 1000, 95 to a block: 3 classified in the first, 5 + 5 + 5 + 4
+        assert len(bounds) == len(worst) == 22
+        assert all(b >= w for b, w in zip(bounds, worst)), (bounds, worst)
+
+    def test_scan_and_evaluate_memory(self, tmp_path):
+        # a block in flight holds a few chunk buffers of floats, not several
+        # block-long arrays: three 2^20 blocks at alpha = 1/2, traced, stay
+        # far below the ~32 MB of the block-wide float arrays
+        sieve_segment(1, 2 ** 20)  # the prime table is the process's, not the scan's
+        for run in (
+            lambda: scan_sign(17, 3 * 2 ** 20, 0.5, Sign.NONPOSITIVE, trace_path=str(tmp_path / "t.csv")),
+            lambda: evaluate(3 * 2 ** 20, 0.5),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, peak
 
 
 class TestEulerProduct:
