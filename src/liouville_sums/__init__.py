@@ -17,6 +17,7 @@ from .aux_poly import (
     UScanReport,
     build_polynomial,
     evaluate_at,
+    residue_batch,
     residue_r0,
     residue_rn,
     scan_u,
@@ -39,7 +40,7 @@ from .partial_sum import (
     scan_sign,
 )
 from .zeros import ZeroTable, bundled_zero_table, load_zeros, refine_zero, validate_zero
-from .zeta import ComplexValue, em_params, zeta, zeta_prime
+from .zeta import ComplexValue, em_params, zeta, zeta_batch, zeta_prime
 
 __version__ = "0.1.0"
 
@@ -65,6 +66,7 @@ __all__ = [
     "load_zeros",
     "primes_upto",
     "refine_zero",
+    "residue_batch",
     "residue_r0",
     "residue_rn",
     "scan_sign",
@@ -73,6 +75,7 @@ __all__ = [
     "stream_lambda_range",
     "validate_zero",
     "zeta",
+    "zeta_batch",
     "zeta_prime",
     "__version__",
 ]

@@ -14,11 +14,15 @@ and the oscillating coefficients are the residues
 
     r_n = zeta(1 + 2 i gamma_n) / ((1/2 - alpha + i gamma_n) zeta'(1/2 + i gamma_n)),
 
-assuming all zeros are simple.  The triangular factor (1 - gamma_n / T) is
-the Fejer-style smoothing weight; it lies in (0, 1] and decreases with
-gamma_n.  Large positive values of A(u) suggest sign failures of the weighted
-running sums near X = e^u, which is why the scanner records e^u alongside
-each extremum.
+assuming all zeros are simple.  residue_batch evaluates the residues of a
+sequence of ordinates from one zeta.zeta_batch call over the points
+1/2 + i gamma_n and 1 + 2 i gamma_n, and residue_rn is its batch of one, so
+build_polynomial and the CLI's residues command each make one call.
+
+The triangular factor (1 - gamma_n / T) is the Fejer-style smoothing weight;
+it lies in (0, 1] and decreases with gamma_n.  Large positive values of A(u)
+suggest sign failures of the weighted running sums near X = e^u, which is
+why the scanner records e^u alongside each extremum.
 
 Caveats, deliberate and documented: the alpha = 1/2 constant term keeps only
 the leading-order residue euler_gamma / zeta(1/2); a full expansion of the
@@ -84,7 +88,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .zeros import DEFAULT_VALIDATE_TOL, ZeroTable
-from .zeta import ComplexValue, zeta, zeta_with_prime
+from .zeta import ComplexValue, zeta, zeta_batch
 
 #: Euler-Mascheroni constant.
 EULER_GAMMA = float(np.euler_gamma)
@@ -138,41 +142,62 @@ def residue_r0(alpha: float) -> float:
 def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
     """Residue coefficient of the oscillating term at ordinate gamma_n.
 
-    The ordinate is accepted only when |zeta(1/2 + i*gamma_n)| <=
-    zeros.DEFAULT_VALIDATE_TOL, from the same evaluation that gives zeta' there.
+    The batch of one of residue_batch, which says what is returned and raised.
+    """
+    return residue_batch([gamma_n], alpha)[0]
+
+
+def residue_batch(gammas, alpha: float) -> list[ComplexValue]:
+    """Residue coefficients of the oscillating terms at a sequence of ordinates.
+
+    All zeta values come from one zeta_batch call, so each entry equals
+    residue_rn at its ordinate, bit for bit.  An ordinate is accepted only
+    when |zeta(1/2 + i*gamma_n)| <= zeros.DEFAULT_VALIDATE_TOL, from the same
+    evaluation that gives zeta' there.  The ordinates are checked in order
+    once all are evaluated, so an error names the first that fails.
 
     Args:
-        gamma_n: positive ordinate of a (simple) critical-line zero
+        gammas: positive ordinates of (simple) critical-line zeros
         alpha: exponent in [0, 1]
 
     Returns:
-        ComplexValue holding zeta(1 + 2i*gamma_n) /
+        One ComplexValue per ordinate holding zeta(1 + 2i*gamma_n) /
         ((1/2 - alpha + i*gamma_n) * zeta'(1/2 + i*gamma_n)) with a
         first-order propagated error estimate.
 
     Raises:
-        ValueError: alpha out of range, gamma_n not positive or not a zero
-            ordinate, or |zeta'| below the simplicity floor.
+        ValueError: alpha out of range, an ordinate not positive or not a
+            zero ordinate, or |zeta'| below the simplicity floor.
     """
     _check_alpha(alpha)
-    if not gamma_n > 0.0:
-        raise ValueError(f"ordinate must be positive, got {gamma_n}")
-    z, dz = zeta_with_prime(complex(0.5, gamma_n))
-    if not abs(z.value) <= DEFAULT_VALIDATE_TOL:
+    gammas = list(gammas)
+    for g in gammas:
+        if not g > 0.0:
+            raise ValueError(f"ordinate must be positive, got {g}")
+    k = len(gammas)
+    z, dz, err_z, err_dz = zeta_batch(
+        [complex(0.5, g) for g in gammas] + [complex(1.0, 2.0 * g) for g in gammas]
+    )
+    residual, slope = np.abs(z[:k]), np.abs(dz[:k])
+    bad = np.flatnonzero(~(residual <= DEFAULT_VALIDATE_TOL) | (slope < ZETA_PRIME_FLOOR))
+    if bad.size:
+        i = bad[0]
+        if not residual[i] <= DEFAULT_VALIDATE_TOL:
+            raise ValueError(
+                f"gamma = {gammas[i]!r} is not a zero ordinate: residual "
+                f"{residual[i]:.3e} exceeds {DEFAULT_VALIDATE_TOL:.0e}"
+            )
         raise ValueError(
-            f"gamma = {gamma_n!r} is not a zero ordinate: residual "
-            f"{abs(z.value):.3e} exceeds {DEFAULT_VALIDATE_TOL:.0e}"
-        )
-    if abs(dz.value) < ZETA_PRIME_FLOOR:
-        raise ValueError(
-            f"|zeta'(1/2 + {gamma_n!r}i)| = {abs(dz.value):.3e} below "
+            f"|zeta'(1/2 + {gammas[i]!r}i)| = {slope[i]:.3e} below "
             f"{ZETA_PRIME_FLOOR:.0e}; bad ordinate or near-multiple zero"
         )
-    num = zeta(complex(1.0, 2.0 * gamma_n))
-    denom = complex(0.5 - alpha, gamma_n) * dz.value
-    r = num.value / denom
-    rel = num.err / max(abs(num.value), 1e-300) + dz.err / abs(dz.value)
-    return ComplexValue(r.real, r.imag, abs(r) * rel)
+    num, num_err = z[k:], err_z[k:]
+    r = num / ((0.5 - alpha + 1j * np.array(gammas)) * dz[:k])
+    rel = num_err / np.maximum(np.abs(num), 1e-300) + err_dz[:k] / slope
+    err = np.abs(r) * rel
+    return [
+        ComplexValue(re, im, e) for re, im, e in zip(r.real.tolist(), r.imag.tolist(), err.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -219,7 +244,7 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
     by 1 - gamma_n / T.
 
     Args:
-        zeros: ordinate table; residue_rn rejects an entry that is not a zero
+        zeros: ordinate table; residue_batch rejects an entry that is not a zero
         T: positive frequency cutoff
         alpha: exponent in [0, 1]
 
@@ -243,13 +268,12 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
             f"{zeros.gammas[-1]}); terms above the table are missing",
             stacklevel=2,
         )
-    terms = []
-    for g in zeros.below(T):
-        rn = residue_rn(g, alpha)
-        terms.append(
-            AuxTerm(gamma=g, residue=rn.value, weight=1.0 - g / T, residue_err=rn.err)
-        )
-    return AuxPolynomial(alpha=alpha, cutoff=T, r0=r0, terms=tuple(terms))
+    gammas = zeros.below(T)
+    terms = tuple(
+        AuxTerm(gamma=g, residue=rn.value, weight=1.0 - g / T, residue_err=rn.err)
+        for g, rn in zip(gammas, residue_batch(gammas, alpha))
+    )
+    return AuxPolynomial(alpha=alpha, cutoff=T, r0=r0, terms=terms)
 
 
 def evaluate_at(poly: AuxPolynomial, u: float) -> float:

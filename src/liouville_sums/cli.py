@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .aux_poly import build_polynomial, residue_r0, residue_rn, scan_u
+from .aux_poly import build_polynomial, residue_batch, residue_r0, scan_u
 from .liouville import DEFAULT_SEGMENT_SIZE
 from .partial_sum import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -257,7 +257,8 @@ def cmd_residues(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"requested {cfg.count} residues but the table holds {len(table)} zeros"
         )
     r0 = residue_r0(cfg.alpha)
-    residues = [(g, residue_rn(g, cfg.alpha)) for g in table.gammas[: cfg.count]]
+    gammas = table.gammas[: cfg.count]
+    residues = list(zip(gammas, residue_batch(gammas, cfg.alpha)))
     rows = [{"n": n, "gamma": g, **dataclasses.asdict(rn)} for n, (g, rn) in enumerate(residues, 1)]
     _write_json_report(args.report, "residues", cfg, r0=r0, residues=rows)
     print(f"alpha = {cfg.alpha}")

@@ -16,6 +16,7 @@ from liouville_sums.aux_poly import (
     AuxTerm,
     build_polynomial,
     evaluate_at,
+    residue_batch,
     residue_r0,
     residue_rn,
     scan_u,
@@ -121,6 +122,26 @@ class TestResidueRn:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             residue_rn(oracles.GAMMA_1, 1.5)
+
+
+class TestResidueBatch:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("cutoff", [100.0, 1420.0])
+    def test_build_terms_equal_residue_rn(self, cutoff, alpha):
+        # the build's one batched call and a batch of one per ordinate agree bit for bit
+        poly = build_polynomial(bundled_zero_table(), cutoff, alpha)
+        assert len(poly.terms) == (29 if cutoff == 100.0 else 1000)
+        for t in poly.terms:
+            rn = residue_rn(t.gamma, alpha)
+            assert (t.residue, t.residue_err) == (rn.value, rn.err), t.gamma
+
+    def test_first_non_zero_ordinate_named(self):
+        gammas = [oracles.GAMMA_1, 21.5, oracles.GAMMA_3, 23.0]
+        with pytest.raises(ValueError, match=r"^gamma = 21.5 is not a zero ordinate"):
+            residue_batch(gammas, 0.5)
+
+    def test_empty(self):
+        assert residue_batch([], 0.5) == []
 
 
 class TestBuildPolynomial:

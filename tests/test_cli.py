@@ -320,6 +320,33 @@ class TestNonZeroOrdinateRejected:
         assert "r0 =" not in captured.out
 
 
+class TestZeroTableUnderBatching:
+    @pytest.mark.parametrize(
+        "args",
+        [["aux", "--cutoff", "28"], ["residues", "--count", "4"]],
+        ids=["aux", "residues"],
+    )
+    def test_two_non_zeros_name_the_earlier(self, args, tmp_path, capsys):
+        # every ordinate a command uses is evaluated in one batch before any is checked
+        table = tmp_path / "zeros.txt"
+        table.write_text("14.134725141735\n21.5\n25.010857580146\n27.5\n")
+        rc = main([*args, "--alpha", "0.5", "--zeros", str(table)])
+        assert rc == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gamma = 21.5 is not a zero ordinate")
+        if args[0] == "residues":
+            assert captured.out == ""
+
+    def test_residues_count_evaluates_only_the_first(self, tmp_path, capsys):
+        table = tmp_path / "zeros.txt"
+        table.write_text("14.134725141735\n21.022039638772\n21.5\n")
+        rc = main(["residues", "--alpha", "0.5", "--count", "2", "--zeros", str(table)])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "r2 (gamma=21.022039638772)" in out
+        assert "21.5" not in out
+
+
 class TestResiduesCommand:
     def test_prints_r0_and_residues(self, capsys):
         rc = main(["residues", "--alpha", "0.5", "--count", "2"])

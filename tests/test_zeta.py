@@ -14,9 +14,11 @@ from liouville_sums.zeta import (
     _tail_factor,
     em_params,
     zeta,
+    zeta_batch,
     zeta_prime,
     zeta_with_prime,
 )
+from liouville_sums.zeros import bundled_zero_table
 
 import oracles
 
@@ -136,6 +138,62 @@ class TestZeta:
         a = zeta(s).value
         b = zeta(s.conjugate()).value
         assert abs(a.conjugate() - b) <= 1e-13 * (1.0 + abs(a))
+
+
+class TestBatch:
+    POINTS = (
+        0j,
+        2 + 0j,
+        0.5 + 0j,
+        complex(-5, 3),
+        complex(0.5, 14.1347),
+        complex(1, 2838.8),
+        complex(0.5, 9999),
+    )
+
+    def test_batch_of_one_equals_batched_entry(self):
+        # a point's truncation and summation order do not depend on its batch
+        z, dz, err_z, err_dz = zeta_batch(self.POINTS)
+        for i, s in enumerate(self.POINTS):
+            got, dgot = zeta_with_prime(s)
+            assert (got.value, got.err) == (z[i], err_z[i]), s
+            assert (dgot.value, dgot.err) == (dz[i], err_dz[i]), s
+
+    def test_order_and_repeats_change_nothing(self):
+        z, dz, err_z, err_dz = zeta_batch(self.POINTS)
+        rz, rdz, rerr_z, rerr_dz = zeta_batch(self.POINTS[::-1] * 2)
+        n = len(self.POINTS)
+        for got, want in ((rz, z), (rdz, dz), (rerr_z, err_z), (rerr_dz, err_dz)):
+            assert list(got[:n][::-1]) == list(want) == list(got[n:][::-1])
+
+    def test_rejects_any_bad_point(self):
+        with pytest.raises(ValueError, match="pole"):
+            zeta_batch([2 + 0j, 1 + 0j])
+        with pytest.raises(ValueError, match="exceeds the supported height"):
+            zeta_batch([2 + 0j, complex(0.5, 2e4)])
+
+    def test_empty(self):
+        assert all(a.size == 0 for a in zeta_batch([]))
+
+
+class TestHighOrdinateOracle:
+    # the residue build evaluates zeta' at 1/2 + i gamma and zeta at 1 + 2i gamma
+    # up to gamma = 1419.42, the last bundled ordinate
+    ORACLE_ERR = 1e-25  # mpmath at 30 digits, on values of size < 1e3
+
+    @pytest.mark.parametrize("near", [544.32, 1419.42])
+    def test_against_mpmath(self, near):
+        gamma = min(bundled_zero_table().gammas, key=lambda g: abs(g - near))
+        assert abs(gamma - near) < 0.01
+        z, dz = zeta_with_prime(complex(0.5, gamma))
+        line = zeta(complex(1.0, 2.0 * gamma))
+        checks = (
+            (z, oracles.mp_zeta(complex(0.5, gamma))),
+            (dz, oracles.mp_zeta_prime(complex(0.5, gamma))),
+            (line, oracles.mp_zeta(complex(1.0, 2.0 * gamma))),
+        )
+        for got, want in checks:
+            assert abs(got.value - complex(want)) <= got.err + self.ORACLE_ERR
 
 
 class TestZetaPrime:
