@@ -100,9 +100,11 @@ ZETA_PRIME_FLOOR = 1.0e-6
 MAX_GRID_POINTS = 10 ** 9
 
 #: Grid points per phase-table block (rows of E), and grid points per scan
-#: chunk, one matrix product.  They bound memory: E holds _BLOCK x N and V
-#: holds N x (_CHUNK / _BLOCK) complex values, N <= ~4500 terms.
-_BLOCK = 32
+#: chunk, one matrix product.  They bound memory: E holds _BLOCK x N complex
+#: values (1 MiB at N = 1000, 4.5 MiB at N = 4500 terms), built in place,
+#: and V holds N x (_CHUNK / _BLOCK).  Each chunk takes N x (_CHUNK / _BLOCK)
+#: head exponentials, so a longer block takes fewer per grid point.
+_BLOCK = 64
 _CHUNK = 8 * _BLOCK
 
 #: exp(u) overflows binary64 beyond this; X-equivalents are reported as None.
@@ -398,7 +400,8 @@ def scan_u(
 
     gammas = np.array([t.gamma for t in poly.terms], dtype=np.float64)
     coeffs = np.array([2.0 * t.weight * t.residue for t in poly.terms], dtype=np.complex128)
-    table = 1j * np.multiply.outer(np.arange(_BLOCK) * step, gammas)
+    table = np.zeros((_BLOCK, gammas.size), dtype=np.complex128)
+    np.multiply.outer(np.arange(_BLOCK) * step, gammas, out=table.imag)
     np.exp(table, out=table)
 
     if trace is not None:

@@ -11,29 +11,42 @@ derivative of the same expansion (no finite differences).
 
 Truncation parameters come from em_params: N is at least max(10, |Im s|),
 and M is the smallest correction order whose first omitted term falls below
-the accuracy target.  Bernoulli numbers are computed once, exactly, as
-rationals, then fixed to binary64.
+the accuracy target.  B_0 .. B_60 are stored as binary64 literals, the
+exact rationals rounded (the tests rebuild them from the exact recurrence).
 
 One evaluator serves a batch of points (zeta_batch); zeta, zeta_prime and
-zeta_with_prime are its batch of one.  The Dirichlet sums use complete
-multiplicativity.  A table holds n^-s for 1 <= n < N at every point of a
-batch: a prime p takes one complex exp, exp(-s log p), and a composite n is
-the product of the entries of its smallest prime factor p and of its
-cofactor n / p.  The table is filled one dyadic range [2^j, 2^(j+1)) at a
-time, so the cofactor (at most n / 2) is ready when n is reached.  A point's
-sum, and the log-weighted sum of its derivative, is numpy's pairwise sum of
-its own N - 1 entries in increasing n, so no value depends on the other
-points of its batch.  A batch holds points of increasing N and at most
-_BATCH table entries (512 KiB with its work buffer).  The Euler-Maclaurin
-remainder is added point by point.
+zeta_with_prime are its batch of one.  Each step is an array operation over
+the batch, and none lets a point's entries depend on the other points:
+
+- Truncation.  One running product per point gives the guard of every
+  order M (em_params), and each point takes its first M that meets the
+  target; only points that no M serves go round the N-doubling loop.
+- Dirichlet sums, by complete multiplicativity.  A table holds n^-s for
+  1 <= n < N at every point: a prime p takes one complex exp,
+  exp(-s log p), and a composite n is the product of the entries of its
+  smallest prime factor p and of its cofactor n / p.  The table is filled
+  one dyadic range [2^j, 2^(j+1)) at a time, so the cofactor (at most n / 2)
+  is ready when n is reached.  A table holds points of increasing N and at
+  most _BATCH entries (512 KiB with its log-weighted twin).  A point's sum,
+  and the log-weighted sum of its derivative, is one np.add.reduceat
+  segment of its own row, [1, N), which reduceat sums on its own.
+- Remainder.  The integral term, the half-term and the corrections
+  k = 1..K, K the batch's largest M, are the rows of one array with a
+  column per point, and so are their derivatives.  A point's terms are
+  added in that order by running sums down its column, read at its own M,
+  so the rows past its M never enter its sums.
+
+The points are taken _POINTS at a time, which bounds the arrays of the
+truncation rule and the remainder.
 
 The error estimate attached to each result is the magnitude of the first
 omitted Bernoulli correction (times the classical tail factor) plus an
 allowance for accumulated rounding, EPS (6 + (|Im s| + 2) log N) times the
-absolute size of the sum, whose Dirichlet part sum n^-sigma (and sum
-n^-sigma log n for the derivative) does not depend on Im s and is read from
-one table of running sums per sigma.  The allowance grows with |Im s| for
-the phases: a direct exp(-s log n) errs in phase by about |Im s| log n eps.
+absolute size of the sum: the magnitudes of the remainder's terms, plus the
+Dirichlet part sum n^-sigma (sum n^-sigma log n for the derivative), which
+does not depend on Im s and is read from one table of running sums per
+sigma.  The allowance grows with |Im s| for the phases: a direct
+exp(-s log n) errs in phase by about |Im s| log n eps.
 A product of Omega(n) <= log2 n rounded prime factors errs by the sum
 of their phase errors |Im s| log p eps, which add up to the same
 |Im s| log n eps; its Omega(n) exps and products add a few eps each, a term
@@ -49,10 +62,8 @@ concurrently.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,27 +87,28 @@ EPS = float(np.finfo(np.float64).eps)
 #: _BATCH takes a table of its own size).
 _BATCH = 2 ** 14
 
-
-def _bernoulli_table(count: int) -> list[float]:
-    """B_{2k} for k = 0..count, exact rational recurrence fixed to float."""
-    top = 2 * count
-    frac = [Fraction(0)] * (top + 1)
-    frac[0] = Fraction(1)
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        binom = 1  # C(m+1, j), starting at j = 0
-        for j in range(m):
-            acc += binom * frac[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        frac[m] = -acc / (m + 1)
-    return [float(frac[2 * k]) for k in range(count + 1)]
+#: Points evaluated together.  Their truncation rule and remainder work on
+#: arrays of a row per order or per term and a column per point, so this
+#: bounds those arrays to a few hundred KiB.
+_POINTS = 256
 
 
-#: B_{2k} for k = 0..30 (B_0 .. B_60).
-BERNOULLI_2K = _bernoulli_table(MAX_M + 1)
+#: B_{2k} for k = 0..30 (B_0 .. B_60): the exact rationals rounded to binary64
+#: (TestBernoulli rebuilds them from the exact recurrence).
+BERNOULLI_2K = [
+    1.0, 0.16666666666666666, -0.03333333333333333, 0.023809523809523808,
+    -0.03333333333333333, 0.07575757575757576, -0.2531135531135531, 1.1666666666666667,
+    -7.092156862745098, 54.971177944862156, -529.1242424242424, 6192.123188405797,
+    -86580.25311355312, 1425517.1666666667, -27298231.067816094, 601580873.9006424,
+    -15116315767.092157, 429614643061.1667, -13711655205088.332, 488332318973593.2,
+    -1.9296579341940068e+16, 8.416930475736826e+17, -4.0338071854059454e+19, 2.1150748638081993e+21,
+    -1.2086626522296526e+23, 7.500866746076964e+24, -5.038778101481069e+26, 3.6528776484818122e+28,
+    -2.849876930245088e+30, 2.3865427499683627e+32, -2.1399949257225335e+34,
+]
 
-#: B_{2k} / (2k)! for k = 0..30.
-_COEFF = [BERNOULLI_2K[k] / math.factorial(2 * k) for k in range(MAX_M + 2)]
+#: B_{2k} / (2k)! for k = 0..30, read-only.
+_COEFF = np.array([BERNOULLI_2K[k] / math.factorial(2 * k) for k in range(MAX_M + 2)])
+_COEFF.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -133,12 +145,15 @@ def _check_argument(s: complex) -> complex:
     return s
 
 
-def _tail_factor(sigma: float, M: int, s: complex) -> float:
-    """Classical factor relating the remainder to the first omitted term."""
+def _tail_factor(sigma, M, s):
+    """Classical factor relating the remainder to the first omitted term, elementwise.
+
+    It is |s + 2M + 1| / (sigma + 2M + 1), or 10 where the denominator is not
+    positive.
+    """
     denom = sigma + 2 * M + 1
-    if denom <= 0.0:
-        return 10.0
-    return abs(s + 2 * M + 1) / denom
+    out = np.full(np.shape(denom), 10.0)
+    return np.divide(np.hypot(denom, np.imag(s)), denom, out=out, where=denom > 0.0)
 
 
 def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, int]:
@@ -146,7 +161,8 @@ def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, 
 
     Deterministic rule: start from N = max(10, ceil(|Im s|)); pick the
     smallest M <= MAX_M whose first omitted correction is estimated below
-    target_eps; if no M suffices, double N and retry.
+    target_eps; if no M suffices, double N and retry.  The batch of one of
+    _em_params_batch, which applies the rule to every point of a batch.
 
     Args:
         s: evaluation point
@@ -155,26 +171,55 @@ def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, 
     Returns:
         (N, M) with N >= max(10, ceil(|Im s|)) and 1 <= M <= MAX_M.
     """
+    N, M, _ = _em_params_batch(np.array([complex(s)]), target_eps)
+    return int(N[0]), int(M[0])
+
+
+#: The orders M = 1..MAX_M, the shifts j = 0..2 MAX_M of the guard, and the
+#: magnitudes |B_{2M+2} / (2M+2)!| of the first omitted corrections.
+_ORDERS = np.arange(1.0, MAX_M + 1)
+_SHIFTS = np.arange(2.0 * MAX_M + 1)
+_OMITTED = np.abs(_COEFF[2:])
+
+
+def _em_params_batch(s: np.ndarray, target_eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The em_params rule at every point of the complex array s.
+
+    The first omitted correction at order M is estimated with the guard
+    (|s| + 1) prod_{1 <= j <= 2M} (|s + j| + 1) in place of |(s)_{2M+1}|, so
+    the estimate cannot vanish at s = 0 (where the value corrections are
+    exactly zero but the derivative corrections are not); the overestimate
+    only pushes M up.  One running product over j gives the guard of every
+    M, read at j = 2M.  Only the points that no M <= MAX_M serves go round
+    the N-doubling loop.
+
+    Returns:
+        Arrays (N, M, and the classical tail factor at M).
+    """
     if not target_eps > 0.0:
         raise ValueError(f"target_eps must be > 0, got {target_eps}")
-    s = complex(s)
-    N = max(10, math.ceil(abs(s.imag)))
-    while True:
-        # The first omitted correction is estimated with the guard
-        # prod_{j <= 2M} (|s + j| + 1) in place of |(s)_{2M+1}|, so the estimate
-        # cannot vanish at s = 0 (where the value corrections are exactly zero
-        # but the derivative corrections are not); the overestimate only pushes
-        # M up.  The guard gains the factors j = 2M - 1, 2M for each M.
-        rising = abs(s) + 1.0
-        for M in range(1, MAX_M + 1):
-            for j in (2 * M - 1, 2 * M):
-                rising *= abs(complex(s.real + j, s.imag)) + 1.0
-            omitted = abs(_COEFF[M + 1]) * rising * N ** (-s.real - 2 * M - 1)
-            if omitted * _tail_factor(s.real, M, s) <= target_eps:
-                return N, M
-        if N > 2 ** 24:
-            return N, MAX_M
-        N *= 2
+    sigma = s.real[:, None]
+    guard = np.hypot(sigma + _SHIFTS, s.imag[:, None])
+    guard += 1.0
+    np.multiply.accumulate(guard, axis=1, out=guard)
+    omitted = _OMITTED * guard[:, 2::2]
+    expo = -sigma - 2 * _ORDERS - 1
+    fac = _tail_factor(sigma, _ORDERS, s[:, None])
+    N = np.maximum(10.0, np.ceil(np.abs(s.imag)))
+    ok = omitted * N[:, None] ** expo * fac <= target_eps
+    M = ok.argmax(axis=1) + 1
+    hit = ok.any(axis=1)
+    if not hit.all():
+        rows = np.flatnonzero(~hit)
+        while rows.size:  # no M serves: double N, or stop above 2^24 with M = MAX_M
+            M[rows] = MAX_M
+            rows = rows[N[rows] <= 2 ** 24]
+            N[rows] *= 2
+            ok = omitted[rows] * N[rows, None] ** expo[rows] * fac[rows] <= target_eps
+            hit = ok.any(axis=1)
+            M[rows[hit]] = ok[hit].argmax(axis=1) + 1
+            rows = rows[~hit]
+    return N.astype(np.int64), M, fac[np.arange(s.size), M - 1]
 
 
 def _factor_plan(length: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -226,8 +271,8 @@ def _dirichlet_table(
     while lo < length:
         hi = min(length, 2 * lo)
         a, b = work[:, : hi - lo], work[:, hi - lo : 2 * (hi - lo)]
-        np.take(table, fac[lo:hi], axis=1, out=a, mode="clip")
-        np.take(table, cof[lo:hi], axis=1, out=b, mode="clip")
+        table.take(fac[lo:hi], axis=1, out=a, mode="clip")
+        table.take(cof[lo:hi], axis=1, out=b, mode="clip")
         np.multiply(a, b, out=table[:, lo:hi])
         lo *= 2
     # on real views, so that logs is not cast to complex through a buffer
@@ -238,123 +283,168 @@ def _dirichlet_table(
     )
 
 
+def _plan(length: int) -> tuple[tuple, np.ndarray]:
+    """The factor plan and the table of log n (0 at n = 0) for tables of `length` columns.
+
+    Both come from one module cache whose length doubles to grow.  A plan
+    for a longer length serves a shorter one unchanged: fac, cof and log n
+    for n < length do not depend on it, and _dirichlet_table cuts the primes
+    at its own length.
+    """
+    global _plan_cache
+    size, plan, logs = _plan_cache
+    if length > size:
+        size = max(length, 2 * size)
+        plan = _factor_plan(size)
+        logs = np.zeros(size)
+        np.log(np.arange(1, size, dtype=np.float64), out=logs[1:])
+        for a in (*plan[1:], logs):
+            a.flags.writeable = False
+        _plan_cache = (size, plan, logs)
+    return plan, logs
+
+
+# (length, _factor_plan(length), log n for 0 <= n < length), the arrays
+# read-only: read and replaced as one object, as liouville._prime_cache is, so
+# a concurrent grow never pairs a plan with a shorter log table.
+_plan_cache: tuple[int, tuple, np.ndarray] = (0, (), np.zeros(0))
+
+
 def _em_batch(
-    points: list[complex], params: list[tuple[int, int]]
+    s: np.ndarray, N: np.ndarray, M: np.ndarray, fac: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maclaurin values and s-derivatives with error estimates.
 
-    Point i is evaluated with its own (N, M) = params[i], and its entries do
-    not depend on the other points: its Dirichlet sums are numpy's pairwise
-    sums of its own table row over 1 <= n < N, in increasing n.  The points
-    fill tables in batches of increasing N, each of at most _BATCH entries
-    (a single point may exceed it).  Returns the arrays (z, dz, err_z, err_dz).
+    Point i is evaluated with its own (N[i], M[i]) and tail factor fac[i]
+    (_tail_factor at M[i]), and its entries do not depend on the other
+    points: its Dirichlet sums reduce its own table row over 1 <= n < N[i],
+    one np.add.reduceat segment each.  The points fill tables in batches of
+    increasing N, each of at most _BATCH entries (a single point may exceed
+    it).  Returns the arrays (z, dz, err_z, err_dz).
     """
-    N = [n for n, _ in params]
-    top = max(N)
-    plan = _factor_plan(top)
-    logs = np.zeros(top)
-    np.log(np.arange(1, top, dtype=np.float64), out=logs[1:])
+    Ns = N.tolist()
+    order = sorted(range(len(Ns)), key=Ns.__getitem__)
+    top = Ns[order[-1]]
+    plan, logs = _plan(top)
 
-    sums = np.empty((2, len(points)), dtype=np.complex128)
-    order = sorted(range(len(points)), key=N.__getitem__)
-    size = max(min(_BATCH, len(points) * top), top)
-    table_buf = np.empty(size, dtype=np.complex128)
-    work_buf = np.empty(size, dtype=np.complex128)
+    # Each batch's table of n^-s and its log-weighted twin share one buffer.
+    sums = np.empty((2, len(Ns)), dtype=np.complex128)
+    buf = np.empty((2, max(min(_BATCH, len(Ns) * top), top)), dtype=np.complex128)
     start = 0
     while start < len(order):
         stop = start + 1
-        while stop < len(order) and (stop + 1 - start) * N[order[stop]] <= _BATCH:
+        while stop < len(order) and (stop + 1 - start) * Ns[order[stop]] <= _BATCH:
             stop += 1
         batch = order[start:stop]
-        shape = (len(batch), N[batch[-1]])
-        table = table_buf[: shape[0] * shape[1]].reshape(shape)
-        work = work_buf[: shape[0] * shape[1]].reshape(shape)
-        batch_s = np.array([points[i] for i in batch], dtype=np.complex128)
-        _dirichlet_table(batch_s, plan, logs, table, work)
-        for row, i in enumerate(batch):
-            sums[:, i] = np.add.reduce(table[row, 1 : N[i]]), np.add.reduce(work[row, 1 : N[i]])
+        rows, width = len(batch), Ns[batch[-1]]
+        tables = buf[:, : rows * width]
+        _dirichlet_table(s[batch], plan, logs, *tables.reshape(2, rows, width))
+        # Row r's segment is [r width + 1, r width + N); the last row's runs to
+        # the end of the table, its width being its own N.
+        bounds = [b for r, i in enumerate(batch) for b in (r * width + 1, r * width + Ns[i])]
+        sums[:, batch] = np.add.reduceat(tables, bounds[:-1], axis=1)[:, ::2]
         start = stop
+    sums[1] *= -1  # zeta' sums -log(n) n^-s
 
-    # The gamma-independent sums of the rounding allowance, sum_{n<N} n^-sigma
-    # and sum_{n<N} n^-sigma log n, from one table of running sums per sigma.
-    sizes = {}
-    for sigma in {s.real for s in points}:
-        w = np.exp(-sigma * logs[: max(n for s, n in zip(points, N) if s.real == sigma)])
-        w[0] = 0.0
-        sizes[sigma] = (np.cumsum(w), np.cumsum(logs[: w.size] * w))
+    # The gamma-independent sizes of those sums for the rounding allowance,
+    # sum_{n<N} n^-sigma and sum_{n<N} n^-sigma log n, from one table of
+    # running sums per sigma.
+    sizes = np.empty((2, len(Ns)))
+    running = np.empty((2, top))
+    for sigma in set(s.real.tolist()):
+        rows = s.real == sigma
+        np.multiply(-sigma, logs[:top], out=running[0])
+        np.exp(running[0], out=running[0])
+        running[0, 0] = 0.0
+        np.multiply(running[0], logs[:top], out=running[1])
+        running.cumsum(axis=1, out=running)
+        sizes[:, rows] = running[:, N[rows] - 1]
+    return _em_tail(s, N, M, fac, sums, sizes)
 
-    z = np.empty(len(points), dtype=np.complex128)
-    dz = np.empty_like(z)
-    err_z = np.empty(len(points))
-    err_dz = np.empty_like(err_z)
-    for i, (s, (n, m)) in enumerate(zip(points, params)):
-        abs_d, abs_dd = sizes[s.real]
-        z[i], dz[i], err_z[i], err_dz[i] = _em_tail(
-            s, n, m, sums[0, i].item(), -sums[1, i].item(), abs_d[n - 1].item(), abs_dd[n - 1].item()
-        )
-    return z, dz, err_z, err_dz
+
+#: The exponents 1 - 2k of N in the k-th correction, k = 1..MAX_M + 1, and
+#: the rows of the value and the derivative in a term's pair.
+_ODD_POWERS = -np.arange(1.0, 2.0 * MAX_M + 2, 2.0)[:, None]
+_PAIR = np.array([[0], [1]])
+
+#: A factor s + j of a rising factorial smaller than this counts as 0, so
+#: that its reciprocal cannot overflow.
+_NEGLIGIBLE = 1.0e-150
 
 
 def _em_tail(
-    s: complex,
-    N: int,
-    M: int,
-    dirichlet: complex,
-    d_dirichlet: complex,
-    abs_dirichlet: float,
-    abs_d_dirichlet: float,
-) -> tuple[complex, complex, float, float]:
-    """Add the Euler-Maclaurin remainder to the Dirichlet sums at s; estimate the errors."""
-    sigma = s.real
-    logN = math.log(N)
+    s: np.ndarray,
+    N: np.ndarray,
+    M: np.ndarray,
+    fac: np.ndarray,
+    sums: np.ndarray,
+    sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Add the Euler-Maclaurin remainder to the Dirichlet sums at every point; estimate the errors.
 
-    # Integral term N^(1-s)/(s-1) and half-term N^(-s)/2.
-    Npow_1ms = cmath.exp((1 - s) * logN)
-    integral = Npow_1ms / (s - 1)
-    d_integral = -integral * (logN + 1 / (s - 1))
-    Npow_ms = cmath.exp(-s * logN)
-    half = 0.5 * Npow_ms
-    d_half = -logN * half
+    sums holds each point's Dirichlet sums for zeta and zeta' (rows 0 and 1)
+    and sizes the sums of the magnitudes of their terms.  The remainder's
+    terms are the rows of one array: the integral term, the half-term and
+    the Bernoulli corrections k = 1..K+1, K the batch's largest M, each as a
+    value and a derivative, and each N^-s times a coefficient.  A point's
+    terms are added down its column in that order, as running sums read at
+    its own M, so its entries do not depend on the other points.
+    """
+    size = s.size
+    N = N.astype(np.float64)
+    logN = np.log(N)
+    inv = 1 / (s - 1)
+    K = max(M.tolist())
 
-    # Bernoulli corrections: coeff_k * (s)_{2k-1} * N^(-s-2k+1), k = 1..M,
-    # with the rising factorial and its derivative extended incrementally.
-    corr = 0j
-    d_corr = 0j
-    abs_corr = 0.0
-    p = s  # (s)_1
-    dp = 1 + 0j
-    Nfac = Npow_ms / N  # N^(-s-1)
-    Nstep = 1.0 / (N * N)
-    for k in range(1, M + 1):
-        c = _COEFF[k]
-        term = c * p * Nfac
-        corr += term
-        d_corr += c * (dp - p * logN) * Nfac
-        abs_corr += abs(term)
-        # extend (s)_{2k-1} -> (s)_{2k+1} for the next k
-        for j in (2 * k - 1, 2 * k):
-            dp = dp * (s + j) + p
-            p = p * (s + j)
-        Nfac *= Nstep
+    # (s)_{2k+1} = prod_{j <= 2k} (s + j), k = 0..K, and its derivative
+    # (s)_{2k+1} sum_{j <= 2k} 1 / (s + j), from running products and sums
+    # over j.  A factor of size below _NEGLIGIBLE (s that close to a
+    # non-positive integer) counts as 0: it is left out of both, and from it
+    # on the value is 0 and the derivative is the product of the other
+    # factors, each at least about 1 in size.  That moves the value by at most
+    # _NEGLIGIBLE times their product, and the derivative by a relative
+    # 1e-149 at most.
+    shifted = np.add.outer(_SHIFTS[: 2 * K + 1], s)
+    zero = np.abs(shifted) < _NEGLIGIBLE
+    np.copyto(shifted, 1.0, where=zero)
+    rising = shifted.cumprod(axis=0)
+    inverse = 1.0 / shifted
+    np.copyto(inverse, 0.0, where=zero)
+    d_rising = rising * inverse.cumsum(axis=0)
+    after = np.logical_or.accumulate(zero, axis=0)
+    np.copyto(d_rising, rising, where=after)
+    np.copyto(rising, 0.0, where=after)
+    rising, d_rising = rising[::2], d_rising[::2]
 
-    z = dirichlet + integral + half + corr
-    dz = d_dirichlet + d_integral + d_half + d_corr
+    # Row j holds the coefficients of N^-s in the j-th term and in its
+    # derivative, before the derivative of N^-s itself: N/(s-1) and
+    # -N/(s-1)^2 for the integral term, 1/2 and 0 for the half-term, then
+    # B_2k/(2k)! N^(1-2k) times (s)_{2k-1} and (s)'_{2k-1}, k = 1..K+1.
+    terms = np.empty((K + 3, 2, size), dtype=np.complex128)
+    terms[0, 0] = N * inv
+    terms[0, 1] = -inv * terms[0, 0]
+    terms[1, 0] = 0.5
+    terms[1, 1] = 0.0
+    scale = _COEFF[1 : K + 2, None] * N ** _ODD_POWERS[: K + 1]
+    np.multiply(rising, scale, out=terms[2:, 0])
+    np.multiply(d_rising, scale, out=terms[2:, 1])
+    # Flat indices of row M + 1, the last that a point sums, for its value and
+    # its derivative; row M + 2 is its first omitted correction (k = M + 1).
+    last = ((M + 1) * 2 + _PAIR) * size + np.arange(size)
+    Npow = np.exp(-s * logN)  # N^-s
+    # The first omitted correction times the classical tail factor, and the
+    # same bound on its derivative.
+    err = np.abs(terms.take(last + 2 * size)) * (fac * np.abs(Npow))
+    err[1] += err[0] * logN
+    terms[:, 1] -= terms[:, 0] * logN
+    terms *= Npow
 
-    # First omitted correction (k = M+1) and its derivative magnitude.
-    omit = abs(_COEFF[M + 1]) * abs(p) * N ** (-sigma - 2 * M - 1)
-    fac = _tail_factor(sigma, M, s)
-    trunc_z = omit * fac
-    trunc_dz = abs(_COEFF[M + 1]) * (abs(dp) + abs(p) * logN) * N ** (-sigma - 2 * M - 1) * fac
-
-    # Rounding allowance (module docstring); the constants are deliberately
-    # generous.
-    round_scale = EPS * (6.0 + (abs(s.imag) + 2.0) * logN)
-    scale_z = abs_dirichlet + abs(integral) + abs(half) + abs_corr
-    scale_dz = abs_d_dirichlet + abs(d_integral) + abs(d_half) + abs(d_corr)
-    err_z = trunc_z + round_scale * scale_z
-    err_dz = trunc_dz + round_scale * scale_dz
-    return z, dz, err_z, err_dz
-
+    value = sums + terms.cumsum(axis=0).take(last)
+    # The rounding allowance (module docstring), whose constants are
+    # deliberately generous.
+    sizes = sizes + np.abs(terms).cumsum(axis=0).take(last)
+    err += EPS * (6.0 + (np.abs(s.imag) + 2.0) * logN) * sizes
+    return value[0], value[1], err[0], err[1]
 
 
 def _em_evaluate(
@@ -364,8 +454,10 @@ def _em_evaluate(
 
     The batch of one of _em_batch.  Returns (z, dz, err_z, err_dz).
     """
-    z, dz, err_z, err_dz = (a.item() for a in _em_batch([complex(s)], [(N, M)]))
-    return z, dz, err_z, err_dz
+    s = np.array([complex(s)])
+    M = np.array([M])
+    out = _em_batch(s, np.array([N]), M, _tail_factor(s.real, M, s))
+    return tuple(a.item() for a in out)
 
 
 def zeta(s: complex) -> ComplexValue:
@@ -410,4 +502,9 @@ def zeta_batch(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     points = [_check_argument(s) for s in points]
     if not points:
         return np.empty(0, complex), np.empty(0, complex), np.empty(0), np.empty(0)
-    return _em_batch(points, [em_params(s) for s in points])
+    s = np.array(points, dtype=np.complex128)
+    parts = []
+    for lo in range(0, s.size, _POINTS):
+        part = s[lo : lo + _POINTS]
+        parts.append(_em_batch(part, *_em_params_batch(part, DEFAULT_TARGET_EPS)))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))

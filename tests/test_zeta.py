@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from liouville_sums.zeta import (
     BERNOULLI_2K,
     MAX_M,
     ComplexValue,
+    _em_params_batch,
     _tail_factor,
     em_params,
     zeta,
@@ -22,8 +25,43 @@ from liouville_sums.zeros import bundled_zero_table
 
 import oracles
 
+# A masked or padded order must never overflow, and no value may come from an
+# invalid operation: every zeta test runs with RuntimeWarning as an error.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _build_points():
+    """The residue build's points for the bundled table: 1/2 + i gamma, then 1 + 2i gamma."""
+    gammas = bundled_zero_table().gammas
+    return [complex(0.5, g) for g in gammas] + [complex(1.0, 2.0 * g) for g in gammas]
+
+
+def _scalar_rule(s, target_eps):
+    """em_params one point at a time in scalar arithmetic, the guard extended two factors per M."""
+    N = max(10, math.ceil(abs(s.imag)))
+    while True:
+        rising = abs(s) + 1.0
+        for M in range(1, MAX_M + 1):
+            for j in (2 * M - 1, 2 * M):
+                rising *= abs(complex(s.real + j, s.imag)) + 1.0
+            omitted = abs(_COEFF[M + 1]) * rising * N ** (-s.real - 2 * M - 1)
+            if omitted * _tail_factor(s.real, M, s) <= target_eps:
+                return N, M
+        if N > 2 ** 24:
+            return N, MAX_M
+        N *= 2
+
 
 class TestBernoulli:
+    def test_literals_equal_exact_recurrence(self):
+        # B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j, in exact rationals, then rounded
+        frac = [Fraction(1)]
+        for m in range(1, 2 * MAX_M + 3):
+            frac.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(frac)) / (m + 1))
+        assert len(BERNOULLI_2K) == MAX_M + 2 == 31
+        for k, b in enumerate(BERNOULLI_2K):
+            assert b == float(frac[2 * k]), f"B_{2 * k}"
+
     def test_first_values_exact(self):
         assert BERNOULLI_2K[0] == 1.0
         assert BERNOULLI_2K[1] == pytest.approx(1 / 6, rel=1e-15)
@@ -81,6 +119,22 @@ class TestEmParams:
                 doubled += got[0] > max(10, math.ceil(abs(s.imag)))
         assert doubled  # 1e-30 takes the N-doubling branch; the larger targets do not
 
+    def test_batched_rule_equals_scalar_rule_on_build_points(self):
+        points = _build_points()
+        N, M, _ = _em_params_batch(np.array(points), 1e-12)
+        for i, s in enumerate(points):
+            assert (N[i], M[i]) == _scalar_rule(s, 1e-12) == em_params(s), s
+
+    def test_batched_rule_takes_doubling_branch_per_point(self):
+        # at 1e-30 some points double N and others do not, in one batch
+        points = [0j, 2 + 0j, complex(-5, 3), complex(0.5, 14.1347), complex(1, 2838.8)]
+        N, M, fac = _em_params_batch(np.array(points), 1e-30)
+        want = [_scalar_rule(s, 1e-30) for s in points]
+        assert list(zip(N.tolist(), M.tolist())) == want
+        assert len({n > max(10, math.ceil(abs(s.imag))) for s, (n, _) in zip(points, want)}) == 2
+        for s, m, f in zip(points, M.tolist(), fac.tolist()):
+            assert f == _tail_factor(s.real, m, s)
+
 
 class TestZeta:
     def test_classical_values(self):
@@ -126,6 +180,18 @@ class TestZeta:
             z2, _, _, _ = _em_evaluate(s, 2 * n, m)
             assert abs(z1 - z2) <= err1
 
+    def test_next_to_non_positive_integers(self):
+        # a factor s + j of a rising factorial below 1e-150 in size counts as 0,
+        # so no reciprocal overflows, and the values are those at the integer
+        for n in (0, -3):
+            exact = zeta_with_prime(n)
+            want = (oracles.mp_zeta(n), oracles.mp_zeta_prime(n))
+            for got, ref in zip(exact, want):
+                assert abs(got.value - complex(ref)) <= got.err
+            for im in (1e-200, 2.2e-311):
+                for got, ref in zip(zeta_with_prime(complex(n, im)), exact):
+                    assert abs(got.value - ref.value) <= 1e-15 * (1.0 + abs(ref.value))
+
     @given(
         st.floats(min_value=-2.0, max_value=5.0),
         st.floats(min_value=-200.0, max_value=200.0),
@@ -165,6 +231,23 @@ class TestBatch:
         n = len(self.POINTS)
         for got, want in ((rz, z), (rdz, dz), (rerr_z, err_z), (rerr_dz, err_dz)):
             assert list(got[:n][::-1]) == list(want) == list(got[n:][::-1])
+
+    def test_build_points_reversed_change_nothing(self):
+        # tables are cut, and remainders run, over other neighbours in reverse
+        points = _build_points()
+        forward = zeta_batch(points)
+        backward = zeta_batch(points[::-1])
+        for got, want in zip(backward, forward):
+            assert got[::-1].tobytes() == want.tobytes()
+
+    def test_mixed_orders_equal_singles(self):
+        # points whose M differ share a remainder array as wide as the largest
+        points = (0j, 2 + 0j, complex(-5, 3), complex(1, 2838.8))
+        assert len({em_params(s)[1] for s in points}) > 1
+        z, dz, err_z, err_dz = zeta_batch(points)
+        for i, s in enumerate(points):
+            got, dgot = zeta_with_prime(s)
+            assert (got.value, got.err, dgot.value, dgot.err) == (z[i], err_z[i], dz[i], err_dz[i]), s
 
     def test_rejects_any_bad_point(self):
         with pytest.raises(ValueError, match="pole"):
