@@ -101,10 +101,12 @@ MAX_GRID_POINTS = 10 ** 9
 
 #: Grid points per phase-table block (rows of E), and grid points per scan
 #: chunk, one matrix product.  They bound memory: E holds _BLOCK x N complex
-#: values (1 MiB at N = 1000, 4.5 MiB at N = 4500 terms), built in place,
-#: and V holds N x (_CHUNK / _BLOCK).  Each chunk takes N x (_CHUNK / _BLOCK)
-#: head exponentials, so a longer block takes fewer per grid point.
-_BLOCK = 64
+#: values (500 KiB at N = 1000 terms, 2.2 MiB at N = 4500), built in place,
+#: and V holds N x (_CHUNK / _BLOCK).  Blocks of 64 take half the head
+#: exponentials per grid point, and cut the aux-1000 scan from 32 to 20 ms,
+#: but their larger E raised that command's peak RSS by 1.2 MiB (3.7%) on a
+#: 2-vCPU guest.
+_BLOCK = 32
 _CHUNK = 8 * _BLOCK
 
 #: exp(u) overflows binary64 beyond this; X-equivalents are reported as None.
