@@ -25,8 +25,9 @@ from liouville_sums.zeros import bundled_zero_table
 
 import oracles
 
-# A masked or padded order must never overflow, and no value may come from an
-# invalid operation: every zeta test runs with RuntimeWarning as an error.
+# The remainder rows a batch computes past a point's own M must never overflow,
+# and no value may come from an invalid operation: every zeta test runs with
+# RuntimeWarning as an error.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
