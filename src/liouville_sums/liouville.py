@@ -40,6 +40,14 @@ per-element logarithm is taken.  Headroom: acc(n) <= sum v_p(n)*(2*S*log2 p
 + 1) <= (2*S + 1)*log2 n = 129*log2 n < 8256 for n < 2^64, below the int16
 maximum 32767, and the largest threshold 2*63*63 = 7938 fits as well.
 
+The block is built in one buffer.  Slice by slice, _MAP_RUN entries at a
+time, the threshold test and the parity of a run acc[a:b] go into small
+temporaries, and 1 - 2*(parity ^ big) is stored as int8 over the bytes
+[a, b) of acc itself; the block's values are the first size bytes of that
+buffer, 2 bytes per integer.  Bytes [a, b) overlap only the accumulator
+entries [a/2, b/2), all below b, and the runs go in increasing order, so
+every entry a store overwrites has already been read.
+
 The primes and their weights come from one module table that grows on
 demand and is only ever replaced whole, never written, so disjoint segments
 can be sieved concurrently.  Anything that needs ordered results (running
@@ -78,6 +86,9 @@ _prime_cache: tuple[int, np.ndarray, np.ndarray] = (
 #: 2*floor(S*log2 p) + 1.
 _LOG_SCALE = 64
 
+#: Accumulator entries mapped to lambda per step of the in-place map.
+_MAP_RUN = 1 << 16
+
 #: Wheel prime powers laid down from one periodic table, and its period.
 _WHEEL = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1))
 _WHEEL_PERIOD = 2 ** 4 * 3 ** 2 * 5 * 7 * 11
@@ -113,13 +124,23 @@ def _primes_through(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table[:count], weights[:count]
 
 
+def _all_unit(values) -> bool:
+    """np.all(np.abs(values) == 1), without block-sized temporaries for integer values."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iu":
+        return bool(np.all(np.abs(v) == 1))
+    # a zero is the only integer in [-1, 1] whose absolute value is not 1
+    return v.size == 0 or bool(v.min() >= -1 and v.max() <= 1 and np.count_nonzero(v) == v.size)
+
+
 @dataclass(frozen=True)
 class LambdaBlock:
     """A contiguous run of exact Liouville values.
 
     Attributes:
         lo: first integer covered (inclusive, >= 1)
-        values: int8 array with values[i] = lambda(lo + i), each entry +/-1
+        values: int8 array with values[i] = lambda(lo + i), each entry +/-1;
+            sieve_segment's is a view of its int16 accumulator
     """
 
     lo: int
@@ -130,7 +151,7 @@ class LambdaBlock:
             raise ValueError(f"block must start at >= 1, got lo={self.lo}")
         if len(self.values) == 0:
             raise ValueError("empty block")
-        if not np.all(np.abs(self.values) == 1):
+        if not _all_unit(self.values):
             raise ValueError("block contains entries other than +1/-1")
         if self.lo == 1 and self.values[0] != 1:
             raise ValueError("lambda(1) must be +1")
@@ -215,8 +236,9 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
     log of their product; n has one further prime factor above sqrt(hi)
     exactly when A(n) < (S - 1)*floor(log2 n) (see the module docstring for
     the proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within
-    int16.  The sieving primes and their weights come from the module's prime
-    table.
+    int16.  lambda is written in place over the accumulator's low bytes, so
+    the block takes 2 bytes per integer.  The sieving primes and their
+    weights come from the module's prime table.
 
     Args:
         lo: window start (inclusive), >= 1
@@ -257,19 +279,23 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
             acc[start::pk] += w
             pk *= p
 
-    # A prime above sqrt(hi) divides n exactly when acc(n) < 2*(S-1)*floor(log2 n).
-    big = np.empty(size, dtype=bool)
+    # lambda(n) = (-1)^(parity + [acc(n) < 2*(S-1)*floor(log2 n)]), written in
+    # place over the low bytes of acc, _MAP_RUN entries at a time (module docstring)
+    values = acc.view(np.int8)[:size]
+    big_run = np.empty(min(size, _MAP_RUN), dtype=bool)
+    lam_run = np.empty(len(big_run), dtype=np.int8)
     for k in range(lo.bit_length() - 1, hi.bit_length()):
-        a = max(lo, 1 << k) - lo
-        b = min(hi + 1, 1 << (k + 1)) - lo
-        np.less(acc[a:b], 2 * (_LOG_SCALE - 1) * k, out=big[a:b])
-    # lambda(n) = (-1)^(parity + [a prime above sqrt(hi) divides n]), mapped in place
-    acc &= 1
-    values = acc.astype(np.int8)
-    values ^= big
-    values *= -2
-    values += 1
-    del acc, big  # freed before LambdaBlock's checks allocate theirs
+        threshold = 2 * (_LOG_SCALE - 1) * k
+        end = min(hi + 1, 1 << (k + 1)) - lo
+        for a in range(max(lo, 1 << k) - lo, end, _MAP_RUN):
+            b = min(a + _MAP_RUN, end)
+            big, lam = big_run[: b - a], lam_run[: b - a]
+            np.less(acc[a:b], threshold, out=big)
+            np.bitwise_and(acc[a:b], 1, out=lam)
+            lam ^= big
+            lam *= -2
+            lam += 1
+            values[a:b] = lam  # bytes [a, b) of acc: its entries [a/2, b/2), all read
     return LambdaBlock(lo=lo, values=values)
 
 

@@ -44,7 +44,8 @@ suite checks that it is on the numpy it runs with.
 
 The chunk walk.  A block's float work runs _CHUNK integers at a time
 (_Walker), in a few buffers allocated once per scan or evaluation, so a
-block in flight holds about 3 MB of floats whatever the sieve block size.
+block in flight holds about 2.5 MB of floats whatever the sieve block size.
+A scan or evaluation drops each sieve block before it sieves the next.
 Each chunk's weights and terms are built in place, and its prefix sums are
 seeded with the last prefix sum of the chunk before, so they are the block's
 s_j bit for bit.  The chunk's TwoSum errors are summed and added to the
@@ -215,15 +216,15 @@ def _sum2_err(terms: np.ndarray, prefix: np.ndarray, scratch: np.ndarray) -> flo
 
     prefix holds the sequential sums prefix[j] = fl(prefix[j-1] + terms[j]);
     Knuth's branch-free TwoSum recovers the error of each addition exactly,
-    in the 2 x (len(terms) - 1) floats of scratch.  Sum2 adds this sum to the
-    last prefix sum (module docstring).
+    in the len(terms) - 1 floats of scratch and in terms[1:], which it
+    consumes.  Sum2 adds this sum to the last prefix sum (module docstring).
     """
     a, b, s = prefix[:-1], terms[1:], prefix[1:]
-    bv = np.subtract(s, a, out=scratch[0, : len(s)])  # the part of b that reached s
-    av = np.subtract(s, bv, out=scratch[1, : len(s)])  # the part of a that reached s
+    bv = np.subtract(s, a, out=scratch[: len(s)])  # the part of b that reached s
+    np.subtract(b, bv, out=b)  # b's error
+    av = np.subtract(s, bv, out=bv)  # the part of a that reached s
     np.subtract(a, av, out=av)
-    np.subtract(b, bv, out=bv)
-    av += bv
+    av += b
     return float(np.sum(av))
 
 
@@ -259,7 +260,7 @@ class _Walker:
         self.alpha = alpha
         self.offsets = np.arange(_CHUNK + 1, dtype=np.float64)
         self.terms, self.prefix, self.weights = (np.empty(_CHUNK + 2) for _ in range(3))
-        self.scratch = np.empty((2, _CHUNK + 1))
+        self.scratch = np.empty(_CHUNK + 1)
 
     def chunks(
         self, values: np.ndarray, lo: int, acc: _BlockSum
@@ -268,8 +269,9 @@ class _Walker:
 
         Each chunk's terms are built (load), their prefix sums taken, seeded
         with acc.last so that they continue the block's sequential s_j, and
-        the chunk added to acc, before it is yielded.  prefix holds the
-        block-local prefix sums, and the caller may overwrite them.
+        the chunk added to acc, before it is yielded; adding it consumes
+        the chunk's terms.  prefix holds the block-local prefix sums, and
+        the caller may overwrite them.
         """
         n = len(values)
         # the first chunk also holds the block's first integer, whose s_1 is exact
@@ -391,6 +393,7 @@ def evaluate(
     walker = _Walker(alpha)
     for block in stream_lambda_range(1, X, segment_size):
         _fold(state, walker.block_sum(block.values, block.lo))
+        del block  # freed before the next block is sieved
     return state.total(), state.err_bound
 
 
@@ -784,6 +787,7 @@ def scan_sign(
                     trace_fh.flush()  # the rows through state.upto are on disk first
                     trace_bytes = os.fstat(trace_fh.fileno()).st_size
                 _write_checkpoint(checkpoint_path, scan, state, tally, trace_bytes)
+            del block  # freed before the next block is sieved
 
     return SignReport(
         alpha=alpha,
@@ -820,9 +824,11 @@ def _emit_trace_rows(
     the per-X bounds at the rows written, and is called once.
     """
     n = len(values)
-    stride = np.arange(-xs0 % every, n, every)
-    ends = np.array([0, n - 1])[[xs0 == x_lo, xs0 + n - 1 == x_hi]]
-    rows = np.unique(np.concatenate((stride, np.flatnonzero(violating | indeterminate), ends)))
+    keep = violating | indeterminate
+    keep[-xs0 % every :: every] = True
+    keep[0] |= xs0 == x_lo
+    keep[n - 1] |= xs0 + n - 1 == x_hi
+    rows = np.flatnonzero(keep)
     errs = errs_at(rows)
     for i in range(0, len(rows), _TRACE_CHUNK):
         r = rows[i : i + _TRACE_CHUNK]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,28 @@ class TestSieveSegment:
         # dyadic slice boundaries inside the window, and roots up to 1e6
         assert sieve_segment(lo, hi).values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
 
+    def test_dyadic_slices_not_multiples_of_the_map_run(self):
+        # 40,000 integers below 2^17 and 90,001 from it: lambda is mapped in
+        # place over the accumulator in runs of 2^16, the last run of each
+        # slice a partial one
+        lo, hi = 2 ** 17 - 40_000, 2 ** 17 + 90_000
+        assert liouville._MAP_RUN == 2 ** 16
+        assert sieve_segment(lo, hi).values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
+
+    def test_block_lives_in_one_buffer(self):
+        # lambda is written over the low bytes of the int16 accumulator: a
+        # block takes 2 bytes per integer, and at most 2.5 at its peak
+        n = 2 ** 20
+        sieve_segment(10 ** 6, 10 ** 6 + n - 1)  # the prime table is the process's
+        tracemalloc.start()
+        try:
+            values = sieve_segment(10 ** 6, 10 ** 6 + n - 1).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n, peak
+        assert values.dtype == np.int8 and values.base.nbytes == 2 * n
+
     def test_accumulator_fits_int16(self):
         scale = liouville._LOG_SCALE
         # each weight is 2*floor(S*log2 p) + 1, so it is at most (2S + 1)*log2 p
@@ -188,6 +211,49 @@ class TestLambdaBlock:
             LambdaBlock(lo=1, values=np.array([-1], dtype=np.int8))
         with pytest.raises(ValueError):
             LambdaBlock(lo=3, values=np.array([], dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [[0], [2], [-2], [127], [-128], [1, -1, 0], [-1, 1, 2]])
+    def test_rejects_int8_entries_other_than_unit(self, bad):
+        with pytest.raises(ValueError, match="other than"):
+            LambdaBlock(lo=2, values=np.array(bad, dtype=np.int8))
+
+    def test_rejects_non_unit_floats(self):
+        with pytest.raises(ValueError, match="other than"):
+            LambdaBlock(lo=2, values=np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1, -1, -1, 1], dtype=np.int8),
+            np.array([-1], dtype=np.int16),
+            np.array([1, -1], dtype=np.int64),
+            np.array([1, 1], dtype=np.uint8),
+            np.array([1, 255], dtype=np.uint8),
+            np.array([-1]).astype(np.uint16),  # 65535
+            np.array([255]).astype(np.int8),  # -1
+            np.array([-32768], dtype=np.int16),  # its abs wraps to itself
+            np.array([np.iinfo(np.int64).min, 1]),
+            np.array([[1, -1], [-1, 1]], dtype=np.int8),
+            np.array([[1, 0]], dtype=np.int16),
+            np.array([1.0, -1.0]),
+            np.array([1.0, np.nan]),
+            np.array([-1.0, np.inf]),
+            np.array([1j, -1.0]),
+            np.array([True, True]),
+            np.array([True, False]),
+        ],
+        ids=lambda v: f"{v.dtype}{v.tolist()}",
+    )
+    def test_accepts_exactly_the_unit_arrays(self, values):
+        # the check accepts what np.all(np.abs(values) == 1) accepts, casts
+        # that wrap (uint8 -1, int8 255) included
+        unit = bool(np.all(np.abs(values) == 1))
+        try:
+            LambdaBlock(lo=2, values=values)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == unit
 
     def test_hi_and_len(self):
         blk = sieve_segment(7, 21)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouville_sums import liouville, partial_sum
-from liouville_sums.liouville import LambdaBlock, sieve_segment
+from liouville_sums.liouville import DEFAULT_SEGMENT_SIZE, LambdaBlock, sieve_segment
 from liouville_sums.partial_sum import (
     EPS,
     TRACE_HEADER,
@@ -879,6 +879,23 @@ class TestChunkWalk:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2 ** 20, peak
+
+    def test_scan_holds_one_sieve_block(self):
+        # a block is dropped before the next is sieved, and holds 2 bytes per
+        # integer: a scan peaks at 2.5 bytes per segment integer plus the
+        # walker's buffers, well below two blocks alive at once
+        seg = DEFAULT_SEGMENT_SIZE
+        sieve_segment(1, seg)  # the prime table is the process's, not the scan's
+        walker = partial_sum._Walker(0.5)
+        buffers = sum(a.nbytes for a in vars(walker).values() if isinstance(a, np.ndarray))
+        tracemalloc.start()
+        try:
+            rep = scan_sign(17, 3_000_000, 0.5, Sign.NONPOSITIVE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok()
+        assert peak <= 2.5 * seg + buffers, (peak, buffers)
 
 
 class TestEulerProduct:
