@@ -246,7 +246,7 @@ class TestLambdaBlock:
     )
     def test_accepts_exactly_the_unit_arrays(self, values):
         # the check accepts what np.all(np.abs(values) == 1) accepts, casts
-        # that wrap (uint8 -1, int8 255) included
+        # that wrap (uint16 -1, int8 255) included
         unit = bool(np.all(np.abs(values) == 1))
         try:
             LambdaBlock(lo=2, values=values)
