@@ -830,12 +830,14 @@ def _emit_trace_rows(
     keep[n - 1] |= xs0 + n - 1 == x_hi
     rows = np.flatnonzero(keep)
     errs = errs_at(rows)
+    # alpha's field, formatted once; a row's cost is then the reprs of v and e
+    mid = f",{alpha!r},"
     for i in range(0, len(rows), _TRACE_CHUNK):
         r = rows[i : i + _TRACE_CHUNK]
         labels = (2 * violating[r] + indeterminate[r]).tolist()
         xs, vs, es = (xs0 + r).tolist(), values[r].tolist(), errs[i : i + _TRACE_CHUNK].tolist()
         fh.write("".join(
-            f"{x},{alpha!r},{v!r},{e!r},{_TRACE_LABELS[c]}\n" for x, v, e, c in zip(xs, vs, es, labels)
+            f"{x}{mid}{v!r},{e!r},{_TRACE_LABELS[c]}\n" for x, v, e, c in zip(xs, vs, es, labels)
         ))
 
 

@@ -9,10 +9,19 @@ term N^(1-s)/(s-1), the half-term N^(-s)/2, and Bernoulli-number corrections,
 where (s)_m = s(s+1)...(s+m-1).  The derivative is the term-by-term analytic
 derivative of the same expansion (no finite differences).
 
-Truncation parameters come from em_params: N is at least max(10, |Im s|),
-and M is the smallest correction order whose first omitted term falls below
-the accuracy target.  B_0 .. B_60 are stored as binary64 literals, the
-exact rationals rounded (the tests rebuild them from the exact recurrence).
+Truncation parameters come from em_params: N is at least
+max(10, |Im s| / pi), and M is the smallest correction order whose first
+omitted term falls below the accuracy target.  Why pi: |B_2k| / (2k)! is
+about 2 (2 pi)^-2k, so each further correction is smaller than the one
+before by about (|s| / 2 pi N)^2, which is 1/4 at N = |Im s| / pi (1/(4 pi^2)
+at N = |Im s|).  The corrections are rows of one batched remainder, while
+the Dirichlet table takes N entries per point and is most of the cost, so
+the smaller N wins although M rises (to at most 24 at the residue build's
+points, against 8 from N = |Im s|).  At N = |Im s| / (2 pi) the corrections
+stop shrinking and N has to double.  The tail factor (Backlund's bound)
+holds for any N with sigma + 2M + 1 > 0.  B_0 .. B_60 are stored as
+binary64 literals, the exact rationals rounded (the tests rebuild them from
+the exact recurrence).
 
 One evaluator serves a batch of points (zeta_batch); zeta, zeta_prime and
 zeta_with_prime are its batch of one.  Each step is an array operation over
@@ -53,7 +62,7 @@ of their phase errors |Im s| log p eps, which add up to the same
 of the order of the 2 log N that the allowance carries beside |Im s| log N.
 It is a documented heuristic, not a certified enclosure; the test suite
 validates it against independent high-precision oracles up to |Im s| =
-2838.8, the largest height the residue build evaluates.
+9999, at the residue build's points (up to 2838.8) and above them.
 
 Good for |Im s| up to 1e4.  All functions are pure and safe to call
 concurrently.
@@ -89,8 +98,10 @@ _BATCH = 2 ** 14
 
 #: Points evaluated together.  Their truncation rule and remainder work on
 #: arrays of a row per order or per term and a column per point, so this
-#: bounds those arrays to a few hundred KiB.
-_POINTS = 256
+#: bounds those arrays: at most 2 MAX_M + 1 = 59 complex rows, 89 KiB.  The
+#: residue build's 2,000 points need up to 49 rows (M <= 24); with 96-point
+#: batches its peak allocation is below what 256 took at M <= 8.
+_POINTS = 96
 
 
 #: B_{2k} for k = 0..30 (B_0 .. B_60): the exact rationals rounded to binary64
@@ -159,17 +170,23 @@ def _tail_factor(sigma, M, s):
 def em_params(s: complex, target_eps: float = DEFAULT_TARGET_EPS) -> tuple[int, int]:
     """Truncation parameters (N, M) for the Euler-Maclaurin evaluation at s.
 
-    Deterministic rule: start from N = max(10, ceil(|Im s|)); pick the
+    Deterministic rule: start from N = max(10, ceil(|Im s| / pi)); pick the
     smallest M <= MAX_M whose first omitted correction is estimated below
-    target_eps; if no M suffices, double N and retry.  The batch of one of
-    _em_params_batch, which applies the rule to every point of a batch.
+    target_eps; if no M suffices, double N and retry.  From N = |Im s| / pi
+    on, each further correction is about (|s| / 2 pi N)^2 <= 1/4 of the one
+    before (module docstring).  At target 1e-12 and Re s >= -1, N doubles
+    at most once, and only below |Im s| = 44, where the floor is 10 to 14
+    and the shifts s + j, j <= 2M, of the rising factorial are not small
+    beside s; further left N^-Re(s) grows, and N may double at any height.
+    The batch of one of _em_params_batch, which applies the rule to every
+    point of a batch.
 
     Args:
         s: evaluation point
         target_eps: positive accuracy target for the truncation error
 
     Returns:
-        (N, M) with N >= max(10, ceil(|Im s|)) and 1 <= M <= MAX_M.
+        (N, M) with N >= max(10, ceil(|Im s| / pi)) and 1 <= M <= MAX_M.
     """
     N, M, _ = _em_params_batch(np.array([complex(s)]), target_eps)
     return int(N[0]), int(M[0])
@@ -205,7 +222,7 @@ def _em_params_batch(s: np.ndarray, target_eps: float) -> tuple[np.ndarray, np.n
     omitted = _OMITTED * guard[:, 2::2]
     expo = -sigma - 2 * _ORDERS - 1
     fac = _tail_factor(sigma, _ORDERS, s[:, None])
-    N = np.maximum(10.0, np.ceil(np.abs(s.imag)))
+    N = np.maximum(10.0, np.ceil(np.abs(s.imag) / math.pi))
     ok = omitted * N[:, None] ** expo * fac <= target_eps
     M = ok.argmax(axis=1) + 1
     hit = ok.any(axis=1)

@@ -37,9 +37,14 @@ def _build_points():
     return [complex(0.5, g) for g in gammas] + [complex(1.0, 2.0 * g) for g in gammas]
 
 
+def _floor(s):
+    """The N that em_params starts from at s."""
+    return max(10, math.ceil(abs(s.imag) / math.pi))
+
+
 def _scalar_rule(s, target_eps):
     """em_params one point at a time in scalar arithmetic, the guard extended two factors per M."""
-    N = max(10, math.ceil(abs(s.imag)))
+    N = _floor(s)
     while True:
         rising = abs(s) + 1.0
         for M in range(1, MAX_M + 1):
@@ -78,9 +83,9 @@ class TestEmParams:
 
     def test_floor_tracks_imaginary_part(self):
         n, m = em_params(complex(0.5, 100), 1e-12)
-        assert n >= 100
+        assert n == math.ceil(100 / math.pi) == 32
         n, m = em_params(complex(0.5, 500), 1e-12)
-        assert n >= 500
+        assert n == math.ceil(500 / math.pi) == 160
 
     def test_params_reach_oracle_accuracy(self):
         s = complex(0.5, 500)
@@ -96,7 +101,7 @@ class TestEmParams:
         # em_params extends the guard product two factors per M; the rule as
         # first written rebuilt it for every M; both must pick the same (N, M)
         def rebuilt(s, target_eps):
-            N = max(10, math.ceil(abs(s.imag)))
+            N = _floor(s)
             while True:
                 for M in range(1, MAX_M + 1):
                     rising = 1.0
@@ -117,8 +122,8 @@ class TestEmParams:
             for s in points:
                 got = em_params(s, target)
                 assert got == rebuilt(s, target), f"s={s}, target={target}"
-                doubled += got[0] > max(10, math.ceil(abs(s.imag)))
-        assert doubled  # 1e-30 takes the N-doubling branch; the larger targets do not
+                doubled += got[0] > _floor(s)
+        assert doubled  # the smaller targets take the N-doubling branch at some points
 
     def test_batched_rule_equals_scalar_rule_on_build_points(self):
         points = _build_points()
@@ -126,13 +131,26 @@ class TestEmParams:
         for i, s in enumerate(points):
             assert (N[i], M[i]) == _scalar_rule(s, 1e-12) == em_params(s), s
 
+    def test_build_points_start_at_their_floor(self):
+        # at 1e-12 an order M <= MAX_M serves every build point from N at its
+        # floor, except the four below |Im s| = 44: there the floor is 10 to
+        # 12, the shifts s + j of the rising factorial are not small beside
+        # s, and N doubles once
+        points = _build_points()
+        N, M, _ = _em_params_batch(np.array(points), 1e-12)
+        doubled = {s: n for s, n in zip(points, N.tolist()) if n != _floor(s)}
+        assert all(n == 2 * _floor(s) and abs(s.imag) < 44 for s, n in doubled.items())
+        assert len(doubled) == 4
+        assert max(M.tolist()) == 24 <= MAX_M
+
     def test_batched_rule_takes_doubling_branch_per_point(self):
-        # at 1e-30 some points double N and others do not, in one batch
+        # at 1e-20 some points double N and others do not, in one batch (at
+        # 1e-30 all of them double)
         points = [0j, 2 + 0j, complex(-5, 3), complex(0.5, 14.1347), complex(1, 2838.8)]
-        N, M, fac = _em_params_batch(np.array(points), 1e-30)
-        want = [_scalar_rule(s, 1e-30) for s in points]
+        N, M, fac = _em_params_batch(np.array(points), 1e-20)
+        want = [_scalar_rule(s, 1e-20) for s in points]
         assert list(zip(N.tolist(), M.tolist())) == want
-        assert len({n > max(10, math.ceil(abs(s.imag))) for s, (n, _) in zip(points, want)}) == 2
+        assert len({n > _floor(s) for s, (n, _) in zip(points, want)}) == 2
         for s, m, f in zip(points, M.tolist(), fac.tolist()):
             assert f == _tail_factor(s.real, m, s)
 
@@ -278,6 +296,32 @@ class TestHighOrdinateOracle:
         )
         for got, want in checks:
             assert abs(got.value - complex(want)) <= got.err + self.ORACLE_ERR
+
+    @staticmethod
+    def _within_estimates(points):
+        # mpmath at 30 digits errs by a relative 1e-25 at most, also on the
+        # values of size 1e11 left of the critical strip
+        z, dz, err_z, err_dz = zeta_batch(points)
+        for i, s in enumerate(points):
+            for got, err, want in ((z, err_z, oracles.mp_zeta(s)), (dz, err_dz, oracles.mp_zeta_prime(s))):
+                want = complex(want)
+                assert abs(got[i] - want) <= err[i] + 1e-25 * max(1.0, abs(want)), s
+
+    def test_build_points_against_mpmath(self):
+        # eight ordinates evenly through the table, the last included, on
+        # both lines the build evaluates
+        gammas = bundled_zero_table().gammas
+        picks = [gammas[round(i * (len(gammas) - 1) / 7)] for i in range(8)]
+        assert picks[-1] == max(gammas)
+        self._within_estimates([complex(0.5, g) for g in picks] + [complex(1.0, 2.0 * g) for g in picks])
+
+    def test_above_build_heights_against_mpmath(self):
+        # the supported range above the build's 2838.8; at sigma = -3 the
+        # rule doubles N
+        points = [complex(sigma, t) for t in (4999.3, 9999.0) for sigma in (0.5, 1.0)]
+        points.append(complex(-3.0, 9999.0))
+        assert em_params(points[-1])[0] == 2 * _floor(points[-1])
+        self._within_estimates(points)
 
 
 class TestZetaPrime:
