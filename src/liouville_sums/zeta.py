@@ -13,15 +13,15 @@ Truncation parameters come from em_params: N is at least
 max(10, |Im s| / pi), and M is the smallest correction order whose first
 omitted term falls below the accuracy target.  Why pi: |B_2k| / (2k)! is
 about 2 (2 pi)^-2k, so each further correction is smaller than the one
-before by about (|s| / 2 pi N)^2, which is 1/4 at N = |Im s| / pi (1/(4 pi^2)
-at N = |Im s|).  The corrections are rows of one batched remainder, while
-the Dirichlet table takes N entries per point and is most of the cost, so
-the smaller N wins although M rises (to at most 24 at the residue build's
-points, against 8 from N = |Im s|).  At N = |Im s| / (2 pi) the corrections
-stop shrinking and N has to double.  The tail factor (Backlund's bound)
-holds for any N with sigma + 2M + 1 > 0.  B_0 .. B_60 are stored as
-binary64 literals, the exact rationals rounded (the tests rebuild them from
-the exact recurrence).
+before by about (|s| / 2 pi N)^2, which is 1/4 at N = |Im s| / pi
+(1/(4 pi^2) at N = |Im s|).  The corrections are rows of one batched
+remainder, while the Dirichlet table takes N entries per point and is most
+of the cost, so the smaller N wins although M rises (to at most 24 at the
+residue build's points).  At N = |Im s| / (2 pi) the corrections stop
+shrinking and N has to double.  The tail factor (Backlund's bound) holds
+for any N with sigma + 2M + 1 > 0.  B_0 .. B_60 are stored as binary64
+literals, the exact rationals rounded (the tests rebuild them from the
+exact recurrence).
 
 One evaluator serves a batch of points (zeta_batch); zeta, zeta_prime and
 zeta_with_prime are its batch of one.  Each step is an array operation over
@@ -98,9 +98,10 @@ _BATCH = 2 ** 14
 
 #: Points evaluated together.  Their truncation rule and remainder work on
 #: arrays of a row per order or per term and a column per point, so this
-#: bounds those arrays: at most 2 MAX_M + 1 = 59 complex rows, 89 KiB.  The
-#: residue build's 2,000 points need up to 49 rows (M <= 24); with 96-point
-#: batches its peak allocation is below what 256 took at M <= 8.
+#: bounds those arrays: at most 2 MAX_M + 6 = 64 complex rows, 96 KiB each.
+#: For the residue build's 2,000 points (M <= 24), 96-point batches keep its
+#: peak allocation near 1 MiB, the Dirichlet table's 512 KiB included, and
+#: 128 or 256 points were no faster.
 _POINTS = 96
 
 
