@@ -87,7 +87,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .zeros import DEFAULT_VALIDATE_TOL, ZeroTable
+from .zeros import DEFAULT_VALIDATE_TOL, ZeroTable, _check_ordinate
 from .zeta import ComplexValue, zeta, zeta_batch
 
 #: Euler-Mascheroni constant.
@@ -176,8 +176,7 @@ def residue_batch(gammas, alpha: float) -> list[ComplexValue]:
     _check_alpha(alpha)
     gammas = list(gammas)
     for g in gammas:
-        if not g > 0.0:
-            raise ValueError(f"ordinate must be positive, got {g}")
+        _check_ordinate(g)
     k = len(gammas)
     z, dz, err_z, err_dz = zeta_batch(
         [complex(0.5, g) for g in gammas] + [complex(1.0, 2.0 * g) for g in gammas]

@@ -182,11 +182,11 @@ class SumState:
 
 
 def _term_error_constant(alpha: float, n_hi: int) -> float:
-    """Bound, in units of EPS, on the relative error of computing 1/n^alpha.
+    """K(alpha), a bound in units of EPS on the relative error of computing 1/n^alpha.
 
-    The named exponents use correctly rounded primitives (sqrt, division);
-    the generic path goes through exp(-alpha*ln n), whose relative error
-    grows with |alpha * ln n|.  Only the float path (alpha > 0) asks.
+    K = 1 at the named exponents 1/2 and 1, which use correctly rounded
+    primitives (sqrt, division); otherwise K = 2 + 2 alpha max(1, ln n_hi),
+    as exp(-alpha*ln n) loses more with |alpha * ln n|.  Only alpha > 0 asks.
     """
     if alpha in (0.5, 1.0):
         return 1.0

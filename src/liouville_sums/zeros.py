@@ -6,8 +6,8 @@ fold them in via conjugate symmetry.  Zeros are assumed simple throughout.
 
 The package bundles the first 1000 ordinates at 12 decimal places
 (data/zeta_zeros_1000.txt, regenerated by scripts/generate_zero_table.py);
-zeros are never computed from scratch here, only locally refined by a
-golden-section minimization of |zeta(1/2 + it)|^2.
+zeros are never computed from scratch here, only locally refined by Newton's
+method on t -> zeta(1/2 + it), whose step works on each seed on its own.
 
 File format (stable contract): UTF-8 text, one ordinate in plain decimal per
 line, optional '#'-prefixed comment lines, blank lines ignored, no
@@ -23,24 +23,24 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Union
 
-from .zeta import SUPPORTED_IM_MAX, zeta
+from .zeta import SUPPORTED_IM_MAX, zeta, zeta_with_prime
 
 #: Any genuine table starts at the first ordinate, which lies in this window.
 FIRST_ORDINATE_WINDOW = (14.0, 14.3)
 
-#: Default tolerance for validate_zero.
+#: Residual |zeta(1/2 + i*gamma)| up to which an ordinate counts as a zero:
+#: validate_zero's default, and aux_poly.residue_batch's acceptance threshold.
 DEFAULT_VALIDATE_TOL = 1.0e-3
 
-#: Half-width of the refinement bracket around the seed ordinate.
+#: A refined ordinate must lie within this distance of its seed.
 REFINE_HALF_WIDTH = 0.05
 
-#: Golden-section terminates once the bracket is narrower than this.
-REFINE_TARGET_WIDTH = 1.0e-10
+#: Cap on refine_zero's Newton steps; seeds up to 0.049 from any of the
+#: first 1000 zeros take 1-6.
+REFINE_MAX_STEPS = 8
 
 #: Residual ceiling after refinement; above it the seed was not near a zero.
 REFINE_RESIDUAL_TOL = 1.0e-6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,12 @@ class ValidationResult:
     passed: bool
 
 
+def _check_ordinate(gamma: float) -> None:
+    """Raise ValueError unless gamma > 0 (NaN fails too)."""
+    if not gamma > 0:
+        raise ValueError(f"ordinate must be positive, got {gamma}")
+
+
 def validate_zero(gamma: float, tol: float = DEFAULT_VALIDATE_TOL) -> ValidationResult:
     """Check how close 1/2 + i*gamma is to an actual zero.
 
@@ -166,8 +172,7 @@ def validate_zero(gamma: float, tol: float = DEFAULT_VALIDATE_TOL) -> Validation
     Returns:
         ValidationResult with residual = |zeta(1/2 + i*gamma)|.
     """
-    if gamma <= 0:
-        raise ValueError(f"ordinate must be positive, got {gamma}")
+    _check_ordinate(gamma)
     residual = abs(zeta(complex(0.5, gamma)).value)
     return ValidationResult(gamma=gamma, residual=residual, tol=tol, passed=residual <= tol)
 
@@ -175,8 +180,12 @@ def validate_zero(gamma: float, tol: float = DEFAULT_VALIDATE_TOL) -> Validation
 def refine_zero(gamma0: float) -> float:
     """Refine an approximate ordinate to nearly full double precision.
 
-    Minimizes |zeta(1/2 + it)|^2 by golden-section search on
-    [gamma0 - 0.05, gamma0 + 0.05] until the bracket is below 1e-10 wide.
+    Newton's method on t -> zeta(1/2 + it), whose derivative is i*zeta': one
+    zeta_with_prime call per step gives both, and the step is
+    t <- t - Im(zeta/zeta').  It stops once |step| <= err(zeta)/|zeta'|, the
+    step's own uncertainty from zeta's error estimate, or after
+    REFINE_MAX_STEPS steps.  Only the result is held to the seed's window:
+    an early step may overshoot it and still converge to the zero inside.
 
     Args:
         gamma0: seed ordinate, within 0.05 of a true ordinate
@@ -185,37 +194,27 @@ def refine_zero(gamma0: float) -> float:
         The refined ordinate.
 
     Raises:
-        ValueError: if the residual after refinement exceeds 1e-6 (the seed
-            was not near a zero), gamma0 is not positive, or the bracket
-            reaches above the height zeta supports.
+        ValueError: if the result lies more than 0.05 from gamma0 or its
+            residual exceeds 1e-6 (the seed was not near a zero), gamma0 is
+            not positive, or a step reaches above the height zeta supports.
     """
-    if gamma0 <= 0:
-        raise ValueError(f"ordinate must be positive, got {gamma0}")
-
-    def f(t: float) -> float:
-        v = zeta(complex(0.5, t)).value
-        return v.real * v.real + v.imag * v.imag
-
-    a = gamma0 - REFINE_HALF_WIDTH
-    b = gamma0 + REFINE_HALF_WIDTH
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > REFINE_TARGET_WIDTH:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    refined = 0.5 * (a + b)
-    residual = math.sqrt(f(refined))
-    if residual > REFINE_RESIDUAL_TOL:
+    _check_ordinate(gamma0)
+    t = gamma0
+    for _ in range(REFINE_MAX_STEPS):
+        z, dz = zeta_with_prime(complex(0.5, t))
+        step = (z.value / dz.value).imag
+        t -= step
+        if abs(step) <= z.err / abs(dz.value):
+            break
+    if not abs(t - gamma0) <= REFINE_HALF_WIDTH:
         raise ValueError(
-            f"no zero near {gamma0}: residual {residual:.3e} after refinement "
+            f"no zero near {gamma0}: Newton's method reached {t!r}, more than "
+            f"{REFINE_HALF_WIDTH} away"
+        )
+    check = validate_zero(t, REFINE_RESIDUAL_TOL)
+    if not check.passed:
+        raise ValueError(
+            f"no zero near {gamma0}: residual {check.residual:.3e} after refinement "
             f"exceeds {REFINE_RESIDUAL_TOL:.0e}"
         )
-    return refined
+    return t

@@ -114,6 +114,27 @@ def hp_running_sums(lam_values, alpha: float, dps: int = 50):
             yield n, acc
 
 
+EPS = 2.0 ** -52
+
+
+def term_error_constant(alpha: float, n_hi: int) -> float:
+    """K(alpha) of partial_sum's bound: 1 at alpha = 1/2 and 1, else 2 + 2 alpha max(1, ln n_hi)."""
+    if alpha in (0.5, 1.0):
+        return 1.0
+    return 2.0 + 2.0 * alpha * max(1.0, math.log(n_hi))
+
+
+def carried_bound_increment(alpha: float, n_hi: int, weight_sum: float) -> float:
+    """What folding a block of n <= n_hi, whose weights 1/n^alpha sum to weight_sum, adds to err_bound.
+
+    partial_sum's module docstring: eps * (K(alpha) + 4) * block_abs_sum,
+    and nothing at alpha = 0, where every block sum is exact.
+    """
+    if alpha == 0.0:
+        return 0.0
+    return EPS * (term_error_constant(alpha, n_hi) + 4.0) * weight_sum
+
+
 # Frozen reference values, computed with the oracles above at >= 40 digits.
 ZETA_HALF = -1.4603545088095868129
 ZETA_2 = 1.6449340668482264365

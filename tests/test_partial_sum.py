@@ -110,6 +110,24 @@ class TestAccumulate:
         assert tops == sorted(tops)
 
 
+class TestCarriedBound:
+    # the documented formula of the carried bound, recomputed apart from the
+    # package: a smaller constant would still pass every soundness test
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 1.5])
+    @pytest.mark.parametrize("n_hi", [1, 2, 3, 1000, 10 ** 9])
+    def test_term_error_constant_is_the_formula(self, alpha, n_hi):
+        assert partial_sum._term_error_constant(alpha, n_hi) == oracles.term_error_constant(alpha, n_hi)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("lo, hi", [(1, 2), (1, 1000), (1001, 5000)])
+    def test_fold_advances_err_bound_by_the_formula(self, alpha, lo, hi):
+        acc = partial_sum._Walker(alpha).block_sum(sieve_segment(lo, hi).values, lo)
+        state = SumState(alpha=alpha, upto=lo - 1, err_bound=3e-13)
+        partial_sum._fold(state, acc)
+        assert state.err_bound == 3e-13 + oracles.carried_bound_increment(alpha, hi, acc.weight_sum)
+
+
 def _mixed_sign_arrays():
     """Float arrays of mixed sign and magnitude, some of them cancelling heavily."""
     floats = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)

@@ -1,3 +1,7 @@
+import importlib
+from functools import lru_cache
+
+import mpmath as mp
 import pytest
 
 from liouville_sums.zeros import (
@@ -9,6 +13,9 @@ from liouville_sums.zeros import (
 )
 
 import oracles
+
+# the module, which the package's zeta function shadows as an attribute
+zeta_module = importlib.import_module("liouville_sums.zeta")
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +140,37 @@ class TestRefineZero:
     def test_idempotent(self):
         g = refine_zero(14.13)
         assert abs(refine_zero(g) - g) < 1e-10
+
+
+@lru_cache(maxsize=None)
+def _mp_ordinate(n):
+    with mp.workdps(30):
+        return float(mp.zetazero(n).imag)
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("n", [1, 2, 100, 500, 1000])
+    @pytest.mark.parametrize("offset", [0.0, 0.04, -0.04, 0.049, -0.049])
+    def test_agrees_with_mpmath(self, n, offset):
+        # every seed within the window goes to its zero, to mpmath's ordinate within 1e-12
+        gamma = _mp_ordinate(n)
+        assert abs(refine_zero(gamma + offset) - gamma) <= 1e-12
+
+    def test_few_zeta_calls(self, monkeypatch):
+        # one zeta_batch call per Newton step and one for the residual check
+        calls = []
+        batch = zeta_module.zeta_batch
+
+        def spy(points):
+            calls.append(points)
+            return batch(points)
+
+        monkeypatch.setattr(zeta_module, "zeta_batch", spy)
+        assert refine_zero(14.13) == pytest.approx(oracles.GAMMA_1, abs=1e-12)
+        assert 1 <= len(calls) <= 6
+
+    @pytest.mark.parametrize("gamma0", [15.0, 17.0, 19.0])
+    def test_no_zero_within_the_window(self, gamma0):
+        # Newton's method from these seeds ends at a zero farther than 0.05 away
+        with pytest.raises(ValueError, match="no zero near"):
+            refine_zero(gamma0)
