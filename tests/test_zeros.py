@@ -174,3 +174,10 @@ class TestNewtonRefinement:
         # Newton's method from these seeds ends at a zero farther than 0.05 away
         with pytest.raises(ValueError, match="no zero near"):
             refine_zero(gamma0)
+
+
+@pytest.mark.parametrize("check", [validate_zero, refine_zero])
+def test_nan_ordinate_rejected(check):
+    # NaN fails the one positivity check instead of reaching zeta
+    with pytest.raises(ValueError, match="must be positive"):
+        check(float("nan"))
