@@ -13,7 +13,6 @@ Core objects:
 
 from .aux_poly import (
     AuxPolynomial,
-    AuxTerm,
     UScanReport,
     build_polynomial,
     evaluate_at,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxPolynomial",
-    "AuxTerm",
     "ComplexValue",
     "DEFAULT_SEGMENT_SIZE",
     "LambdaBlock",

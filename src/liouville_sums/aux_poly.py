@@ -15,9 +15,10 @@ and the oscillating coefficients are the residues
     r_n = zeta(1 + 2 i gamma_n) / ((1/2 - alpha + i gamma_n) zeta'(1/2 + i gamma_n)),
 
 assuming all zeros are simple.  residue_batch evaluates the residues of a
-sequence of ordinates from one zeta.zeta_batch call over the points
-1/2 + i gamma_n and 1 + 2 i gamma_n, and residue_rn is its batch of one, so
-build_polynomial and the CLI's residues command each make one call.
+sequence of ordinates, and their error estimates, as arrays from one
+zeta.zeta_batch call over the points 1/2 + i gamma_n and 1 + 2 i gamma_n;
+residue_rn is its batch of one.  AuxPolynomial keeps the terms as read-only
+arrays from the build to the scan, and derives their weights from T.
 
 The triangular factor (1 - gamma_n / T) is the Fejer-style smoothing weight;
 it lies in (0, 1] and decreases with gamma_n.  Large positive values of A(u)
@@ -70,10 +71,10 @@ The phase term grows with u: at u = 1000 over the 1000 bundled zeros
 (T = 1420, alpha = 1/2) it is 2.1e-10, against 1.9e-11 for the residues and
 3.7e-13 for the arithmetic.
 
-AuxPolynomial is immutable after build; evaluate_at is pure.  scan_u
-evaluates the grid in chunks of _CHUNK points and carries the last point of
-each chunk into the next, so a sign change across a chunk boundary is found
-by the same test as one inside a chunk.
+AuxPolynomial is immutable after build; evaluate_at, the scalar reference,
+is pure.  scan_u evaluates the grid in chunks of _CHUNK points and carries
+the last point of each chunk into the next, so a sign change across a chunk
+boundary is found by the same test as one inside a chunk.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import cmath
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 import numpy as np
@@ -148,10 +149,11 @@ def residue_rn(gamma_n: float, alpha: float) -> ComplexValue:
 
     The batch of one of residue_batch, which says what is returned and raised.
     """
-    return residue_batch([gamma_n], alpha)[0]
+    (r,), (err,) = residue_batch([gamma_n], alpha)
+    return ComplexValue(float(r.real), float(r.imag), float(err))
 
 
-def residue_batch(gammas, alpha: float) -> list[ComplexValue]:
+def residue_batch(gammas, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Residue coefficients of the oscillating terms at a sequence of ordinates.
 
     All zeta values come from one zeta_batch call, so each entry equals
@@ -165,13 +167,14 @@ def residue_batch(gammas, alpha: float) -> list[ComplexValue]:
         alpha: exponent in [0, 1]
 
     Returns:
-        One ComplexValue per ordinate holding zeta(1 + 2i*gamma_n) /
-        ((1/2 - alpha + i*gamma_n) * zeta'(1/2 + i*gamma_n)) with a
-        first-order propagated error estimate.
+        Arrays (residues, errs), one entry per ordinate: the complex
+        zeta(1 + 2i*gamma_n) / ((1/2 - alpha + i*gamma_n) * zeta'(1/2 + i*gamma_n))
+        and its first-order propagated error estimate.
 
     Raises:
         ValueError: alpha out of range, an ordinate not positive or not a
-            zero ordinate, or |zeta'| below the simplicity floor.
+            zero ordinate, |zeta'| below the simplicity floor, or a residue
+            (or its error estimate) that is not finite.
     """
     _check_alpha(alpha)
     gammas = list(gammas)
@@ -198,46 +201,48 @@ def residue_batch(gammas, alpha: float) -> list[ComplexValue]:
     r = num / ((0.5 - alpha + 1j * np.array(gammas)) * dz[:k])
     rel = num_err / np.maximum(np.abs(num), 1e-300) + err_dz[:k] / slope
     err = np.abs(r) * rel
-    return [
-        ComplexValue(re, im, e) for re, im, e in zip(r.real.tolist(), r.imag.tolist(), err.tolist())
-    ]
+    bad = np.flatnonzero(~(np.isfinite(r) & np.isfinite(err)))
+    if bad.size:
+        raise ValueError(f"residue at gamma = {gammas[bad[0]]!r} is not finite")
+    return r, err
 
 
-@dataclass(frozen=True)
-class AuxTerm:
-    """One oscillating term: ordinate, residue, smoothing weight."""
-
-    gamma: float
-    residue: complex
-    weight: float
-    residue_err: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxPolynomial:
-    """Precomputed auxiliary polynomial, immutable after build.
+    """Precomputed auxiliary polynomial, immutable after build; its terms are read-only arrays.
 
     Attributes:
         alpha: exponent in [0, 1]
         cutoff: frequency cutoff T
         r0: constant term
-        terms: one AuxTerm per ordinate 0 < gamma_n < T, in increasing gamma
+        gammas: the ordinates 0 < gamma_n < T, increasing (float64)
+        residues, residue_errs: their residues r_n and error estimates
+            (complex128, float64)
+        weights: 1 - gamma_n / T (float64), derived from the cutoff
     """
 
     alpha: float
     cutoff: float
     r0: float
-    terms: tuple[AuxTerm, ...]
+    gammas: np.ndarray
+    residues: np.ndarray
+    residue_errs: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        prev = 0.0
-        prev_w = math.inf
-        for t in self.terms:
-            if not (prev < t.gamma < self.cutoff):
-                raise ValueError(f"term ordinate {t.gamma!r} out of order or >= cutoff")
-            if not (0.0 < t.weight <= 1.0 and t.weight < prev_w):
-                raise ValueError(f"weight {t.weight!r} at gamma={t.gamma!r} invalid")
-            prev, prev_w = t.gamma, t.weight
+        g = np.array(self.gammas, dtype=np.float64)
+        bad = np.flatnonzero(~((np.concatenate(([0.0], g[:-1])) < g) & (g < self.cutoff)))
+        if bad.size:
+            raise ValueError(f"term ordinate {g[bad[0]].item()!r} out of order or >= cutoff")
+        arrays = {
+            "gammas": g,
+            "residues": np.array(self.residues, dtype=np.complex128),
+            "residue_errs": np.array(self.residue_errs, dtype=np.float64),
+            "weights": 1.0 - g / self.cutoff,
+        }
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
@@ -272,11 +277,10 @@ def build_polynomial(zeros: ZeroTable, T: float, alpha: float) -> AuxPolynomial:
             stacklevel=2,
         )
     gammas = zeros.below(T)
-    terms = tuple(
-        AuxTerm(gamma=g, residue=rn.value, weight=1.0 - g / T, residue_err=rn.err)
-        for g, rn in zip(gammas, residue_batch(gammas, alpha))
+    residues, errs = residue_batch(gammas, alpha)
+    return AuxPolynomial(
+        alpha=alpha, cutoff=T, r0=r0, gammas=gammas, residues=residues, residue_errs=errs
     )
-    return AuxPolynomial(alpha=alpha, cutoff=T, r0=r0, terms=terms)
 
 
 def evaluate_at(poly: AuxPolynomial, u: float) -> float:
@@ -295,9 +299,8 @@ def evaluate_at(poly: AuxPolynomial, u: float) -> float:
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u}")
     parts = [poly.r0]
-    for t in poly.terms:
-        rot = t.residue * cmath.exp(1j * t.gamma * u)
-        parts.append(2.0 * t.weight * rot.real)
+    for g, r, w in zip(poly.gammas.tolist(), poly.residues.tolist(), poly.weights.tolist()):
+        parts.append(2.0 * w * (r * cmath.exp(1j * g * u)).real)
     return math.fsum(parts)
 
 
@@ -399,8 +402,8 @@ def scan_u(
     elif u_lo + (n_points - 1) * step > u_hi:
         n_points -= 1
 
-    gammas = np.array([t.gamma for t in poly.terms], dtype=np.float64)
-    coeffs = np.array([2.0 * t.weight * t.residue for t in poly.terms], dtype=np.complex128)
+    gammas = poly.gammas
+    coeffs = 2.0 * poly.weights * poly.residues
     table = np.zeros((_BLOCK, gammas.size), dtype=np.complex128)
     np.multiply.outer(np.arange(_BLOCK) * step, gammas, out=table.imag)
     np.exp(table, out=table)

@@ -227,10 +227,10 @@ def cmd_aux(cfg: RunConfig, args: argparse.Namespace) -> int:
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace_fh:
         result = scan_u(poly, cfg.u_from, cfg.u_to, cfg.u_step, trace=trace_fh)
     _write_json_report(
-        args.report, "aux-scan", cfg, n_terms=len(poly.terms), r0=poly.r0, report=result.to_dict()
+        args.report, "aux-scan", cfg, n_terms=poly.gammas.size, r0=poly.r0, report=result.to_dict()
     )
     print(
-        f"aux alpha={cfg.alpha} T={cutoff} ({len(poly.terms)} terms), "
+        f"aux alpha={cfg.alpha} T={cutoff} ({poly.gammas.size} terms), "
         f"u in [{cfg.u_from}, {cfg.u_to}] step {cfg.u_step}: {result.n_points} points"
     )
     print(f"  max {result.maximum.value!r} at u={result.maximum.u!r} (X ~ {result.maximum.x_equiv!r})")
@@ -258,13 +258,14 @@ def cmd_residues(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     r0 = residue_r0(cfg.alpha)
     gammas = table.gammas[: cfg.count]
-    residues = list(zip(gammas, residue_batch(gammas, cfg.alpha)))
-    rows = [{"n": n, "gamma": g, **dataclasses.asdict(rn)} for n, (g, rn) in enumerate(residues, 1)]
+    residues, errs = residue_batch(gammas, cfg.alpha)
+    terms = list(zip(gammas, residues.tolist(), errs.tolist()))
+    rows = [{"n": n, "gamma": g, "re": r.real, "im": r.imag, "err": e} for n, (g, r, e) in enumerate(terms, 1)]
     _write_json_report(args.report, "residues", cfg, r0=r0, residues=rows)
     print(f"alpha = {cfg.alpha}")
     print(f"r0 = {r0!r}")
-    for n, (g, rn) in enumerate(residues, 1):
-        print(f"r{n} (gamma={g!r}) = {rn.re!r} {'+' if rn.im >= 0 else '-'} {abs(rn.im)!r}i  (err < {rn.err:.2e})")
+    for n, (g, r, e) in enumerate(terms, 1):
+        print(f"r{n} (gamma={g!r}) = {r.real!r} {'+' if r.imag >= 0 else '-'} {abs(r.imag)!r}i  (err < {e:.2e})")
     return EXIT_OK
 
 

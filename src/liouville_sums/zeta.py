@@ -64,8 +64,8 @@ It is a documented heuristic, not a certified enclosure; the test suite
 validates it against independent high-precision oracles up to |Im s| =
 9999, at the residue build's points (up to 2838.8) and above them.
 
-Good for |Im s| up to 1e4.  All functions are pure and safe to call
-concurrently.
+Good for |Im s| <= 1e4 and -10 <= Re s <= 1e5; other points and non-finite
+ones are rejected.  All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ SUPPORTED_IM_MAX = 1.0e4
 
 #: Smallest supported Re s; far left of the critical strip is out of scope.
 SUPPORTED_RE_MIN = -10.0
+
+#: Largest supported Re s; em_params's guard (2 MAX_M + 1 factors) overflows from ~1.6e5.
+SUPPORTED_RE_MAX = 1.0e5
 
 #: Default absolute accuracy target for em_params.
 DEFAULT_TARGET_EPS = 1.0e-12
@@ -144,16 +147,16 @@ class ComplexValue:
 
 def _check_argument(s: complex) -> complex:
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s = {s} is not finite")
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
     if abs(s.imag) > SUPPORTED_IM_MAX:
-        raise ValueError(
-            f"|Im s| = {abs(s.imag)} exceeds the supported height {SUPPORTED_IM_MAX}"
-        )
+        raise ValueError(f"|Im s| = {abs(s.imag)} exceeds the supported height {SUPPORTED_IM_MAX}")
     if s.real < SUPPORTED_RE_MIN:
-        raise ValueError(
-            f"Re s = {s.real} below the supported minimum {SUPPORTED_RE_MIN}"
-        )
+        raise ValueError(f"Re s = {s.real} below the supported minimum {SUPPORTED_RE_MIN}")
+    if s.real > SUPPORTED_RE_MAX:
+        raise ValueError(f"s = {s}: Re s above the supported maximum {SUPPORTED_RE_MAX}")
     return s
 
 
@@ -208,8 +211,8 @@ def _em_params_batch(s: np.ndarray, target_eps: float) -> tuple[np.ndarray, np.n
     the estimate cannot vanish at s = 0 (where the value corrections are
     exactly zero but the derivative corrections are not); the overestimate
     only pushes M up.  One running product over j gives the guard of every
-    M, read at j = 2M.  Only the points that no M <= MAX_M serves go round
-    the N-doubling loop.
+    M, read at j = 2M.  Every point enters the N-doubling loop at its floor
+    with M = MAX_M, and leaves it at the first N that some M <= MAX_M serves.
 
     Returns:
         Arrays (N, M, and the classical tail factor at M).
@@ -224,19 +227,14 @@ def _em_params_batch(s: np.ndarray, target_eps: float) -> tuple[np.ndarray, np.n
     expo = -sigma - 2 * _ORDERS - 1
     fac = _tail_factor(sigma, _ORDERS, s[:, None])
     N = np.maximum(10.0, np.ceil(np.abs(s.imag) / math.pi))
-    ok = omitted * N[:, None] ** expo * fac <= target_eps
-    M = ok.argmax(axis=1) + 1
-    hit = ok.any(axis=1)
-    if not hit.all():
-        rows = np.flatnonzero(~hit)
-        while rows.size:  # no M serves: double N, or stop above 2^24 with M = MAX_M
-            M[rows] = MAX_M
-            rows = rows[N[rows] <= 2 ** 24]
-            N[rows] *= 2
-            ok = omitted[rows] * N[rows, None] ** expo[rows] * fac[rows] <= target_eps
-            hit = ok.any(axis=1)
-            M[rows[hit]] = ok[hit].argmax(axis=1) + 1
-            rows = rows[~hit]
+    M = np.full(s.size, MAX_M)
+    rows = np.arange(s.size)
+    while rows.size:  # where no M serves, double N, or stop above 2^24 with M = MAX_M
+        ok = omitted[rows] * N[rows, None] ** expo[rows] * fac[rows] <= target_eps
+        hit = ok.any(axis=1)
+        M[rows[hit]] = ok[hit].argmax(axis=1) + 1
+        rows = rows[~hit & (N[rows] <= 2 ** 24)]
+        N[rows] *= 2
     return N.astype(np.int64), M, fac[np.arange(s.size), M - 1]
 
 

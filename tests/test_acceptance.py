@@ -198,11 +198,8 @@ def test_criterion_8_aux_polynomial(acceptance_log):
         u = rng.uniform(0.0, 500.0)
         folded = evaluate_at(poly, u)
         paired = poly.r0 + math.fsum(
-            (
-                t.weight * t.residue * cmath.exp(1j * t.gamma * u)
-                + t.weight * t.residue.conjugate() * cmath.exp(-1j * t.gamma * u)
-            ).real
-            for t in poly.terms
+            (w * r * cmath.exp(1j * g * u) + w * r.conjugate() * cmath.exp(-1j * g * u)).real
+            for g, r, w in zip(poly.gammas.tolist(), poly.residues.tolist(), poly.weights.tolist())
         )
         fold_worst = max(fold_worst, abs(folded - paired))
 
@@ -210,7 +207,9 @@ def test_criterion_8_aux_polynomial(acceptance_log):
     reeval_max = abs(evaluate_at(poly, rep.maximum.u) - rep.maximum.value)
     reeval_min = abs(evaluate_at(poly, rep.minimum.u) - rep.minimum.value)
 
-    const = AuxPolynomial(alpha=0.5, cutoff=5.0, r0=residue_r0(0.5), terms=())
+    const = AuxPolynomial(
+        alpha=0.5, cutoff=5.0, r0=residue_r0(0.5), gammas=(), residues=(), residue_errs=()
+    )
     const_exact = evaluate_at(const, 17.0) == const.r0
 
     r0_diffs = [

@@ -1,11 +1,11 @@
 import cmath
-import dataclasses
 import io
 import math
 import random
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from liouville_sums import aux_poly
@@ -13,7 +13,6 @@ from liouville_sums.aux_poly import (
     _BLOCK,
     _CHUNK,
     AuxPolynomial,
-    AuxTerm,
     build_polynomial,
     evaluate_at,
     residue_batch,
@@ -22,21 +21,28 @@ from liouville_sums.aux_poly import (
     scan_u,
 )
 from liouville_sums.zeros import ZeroTable, bundled_zero_table
-from liouville_sums.zeta import zeta_with_prime
+from liouville_sums.zeta import zeta_batch, zeta_with_prime
 
 import oracles
 
 EPS = 2.0 ** -52
 
 
+def terms(poly):
+    """(gamma, residue, weight) of every term, as Python numbers."""
+    return list(zip(poly.gammas.tolist(), poly.residues.tolist(), poly.weights.tolist()))
+
+
+def empty_polynomial():
+    return AuxPolynomial(alpha=0.5, cutoff=10.0, r0=-0.25, gammas=(), residues=(), residue_errs=())
+
+
 def rounding_bound(poly, u):
     """scan_u's documented error bound at u, less its residue part."""
-    n = len(poly.terms)
+    n = len(poly.gammas)
     return EPS * (
         abs(poly.r0)
-        + math.fsum(
-            2.0 * t.weight * abs(t.residue) * (3.0 * t.gamma * u + n + 5) for t in poly.terms
-        )
+        + math.fsum(2.0 * w * abs(r) * (3.0 * g * u + n + 5) for g, r, w in terms(poly))
     )
 
 
@@ -130,10 +136,10 @@ class TestResidueBatch:
     def test_build_terms_equal_residue_rn(self, cutoff, alpha):
         # the build's one batched call and a batch of one per ordinate agree bit for bit
         poly = build_polynomial(bundled_zero_table(), cutoff, alpha)
-        assert len(poly.terms) == (29 if cutoff == 100.0 else 1000)
-        for t in poly.terms:
-            rn = residue_rn(t.gamma, alpha)
-            assert (t.residue, t.residue_err) == (rn.value, rn.err), t.gamma
+        assert len(poly.gammas) == (29 if cutoff == 100.0 else 1000)
+        for g, r, e in zip(poly.gammas.tolist(), poly.residues.tolist(), poly.residue_errs.tolist()):
+            rn = residue_rn(g, alpha)
+            assert (r, e) == (rn.value, rn.err), g
 
     def test_first_non_zero_ordinate_named(self):
         gammas = [oracles.GAMMA_1, 21.5, oracles.GAMMA_3, 23.0]
@@ -141,7 +147,19 @@ class TestResidueBatch:
             residue_batch(gammas, 0.5)
 
     def test_empty(self):
-        assert residue_batch([], 0.5) == []
+        residues, errs = residue_batch([], 0.5)
+        assert residues.size == errs.size == 0
+
+    def test_first_non_finite_residue_named(self, monkeypatch):
+        def overflowing(points):
+            z, dz, err_z, err_dz = zeta_batch(points)
+            err_z[-1] = math.inf  # the error of zeta(1 + 2i gamma) at the last ordinate
+            return z, dz, err_z, err_dz
+
+        monkeypatch.setattr(aux_poly, "zeta_batch", overflowing)
+        gammas = [oracles.GAMMA_1, oracles.GAMMA_3]
+        with pytest.raises(ValueError, match=rf"^residue at gamma = {gammas[1]!r} is not finite$"):
+            residue_batch(gammas, 0.5)
 
 
 class TestBuildPolynomial:
@@ -152,11 +170,11 @@ class TestBuildPolynomial:
             stated_precision=12,
         )
         poly = build_polynomial(t3, 22.0, 0.0)
-        assert len(poly.terms) == 2
+        assert len(poly.gammas) == 2
 
     def test_cutoff_at_first_ordinate_keeps_nothing(self, table100):
         poly = build_polynomial(table100, table100.gammas[0], 0.5)
-        assert len(poly.terms) == 0
+        assert len(poly.gammas) == 0
         assert evaluate_at(poly, 12.34) == poly.r0
 
     def test_rejects_zero_cutoff(self, table100):
@@ -176,48 +194,87 @@ class TestBuildPolynomial:
                     build_polynomial(table100, T, 1.5)
 
     def test_weights_decrease_and_bounded(self, poly_half):
-        ws = [t.weight for t in poly_half.terms]
+        ws = poly_half.weights.tolist()
         assert all(0.0 < w <= 1.0 for w in ws)
         assert ws == sorted(ws, reverse=True)
-        for t in poly_half.terms:
-            assert t.weight == 1.0 - t.gamma / poly_half.cutoff  # exact arithmetic
+        for g, _, w in terms(poly_half):
+            assert w == 1.0 - g / poly_half.cutoff  # exact arithmetic
 
     def test_cutoff_monotonicity(self, table100):
         # enlarging T never drops a term and never changes a residue
         small = build_polynomial(table100, 50.0, 0.25)
         large = build_polynomial(table100, 80.0, 0.25)
-        assert len(large.terms) >= len(small.terms)
-        for ts, tl in zip(small.terms, large.terms):
-            assert ts.gamma == tl.gamma
-            assert ts.residue == tl.residue
-            assert tl.weight > ts.weight  # same gamma, larger T
+        assert len(large.gammas) >= len(small.gammas)
+        for ts, tl in zip(terms(small), terms(large)):
+            assert ts[0] == tl[0]
+            assert ts[1] == tl[1]
+            assert tl[2] > ts[2]  # same gamma, larger T
 
 
 class TestAuxPolynomial:
-    TERM = AuxTerm(gamma=14.134725141735, residue=0.1 + 0.2j, weight=0.5, residue_err=0.0)
+    GAMMA = 14.134725141735
+
+    @staticmethod
+    def polynomial(gammas):
+        n = len(gammas)
+        return AuxPolynomial(
+            alpha=0.5, cutoff=30.0, r0=-0.25,
+            gammas=gammas, residues=[0.1 + 0.2j] * n, residue_errs=[0.0] * n,
+        )
 
     @pytest.mark.parametrize(
-        "terms, match",
+        "gammas, match",
         [
-            ((TERM, TERM), "term ordinate 14.134725141735 out of order"),
-            ((dataclasses.replace(TERM, gamma=30.0),), "term ordinate 30.0 out of order or >= cutoff"),
-            ((dataclasses.replace(TERM, weight=0.0),), "weight 0.0 at gamma=14.134725141735 invalid"),
-            ((dataclasses.replace(TERM, weight=1.5),), "weight 1.5 at gamma=14.134725141735 invalid"),
-            (
-                (TERM, dataclasses.replace(TERM, gamma=21.022039638772)),
-                "weight 0.5 at gamma=21.022039638772 invalid",
-            ),
+            ((GAMMA, GAMMA), "term ordinate 14.134725141735 out of order"),
+            ((30.0,), "term ordinate 30.0 out of order or >= cutoff"),
         ],
-        ids=["repeated-ordinate", "at-cutoff", "zero-weight", "weight-above-one", "weight-not-decreasing"],
+        ids=["repeated-ordinate", "at-cutoff"],
     )
-    def test_rejects_bad_terms(self, terms, match):
+    def test_rejects_bad_terms(self, gammas, match):
         with pytest.raises(ValueError, match=re.escape(match)):
-            AuxPolynomial(alpha=0.5, cutoff=30.0, r0=-0.25, terms=terms)
+            self.polynomial(gammas)
+
+    def test_names_first_bad_ordinate(self):
+        for gammas, bad in [
+            ((self.GAMMA, 21.022039638772, 21.0, 40.0), "21.0"),
+            ((-1.0, 20.0), "-1.0"),
+            ((0.0,), "0.0"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^term ordinate {bad} out of order or >= cutoff$"):
+                self.polynomial(gammas)
+
+    def test_arrays_read_only(self, poly_half):
+        arrays = (poly_half.gammas, poly_half.residues, poly_half.residue_errs, poly_half.weights)
+        assert [a.dtype for a in arrays] == [np.float64, np.complex128, np.float64, np.float64]
+        for a in arrays:
+            assert a.shape == (99,)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
+    def test_holds_copies_of_its_inputs(self):
+        gammas = np.array([self.GAMMA])
+        poly = self.polynomial(gammas)
+        gammas[0] = 20.0
+        assert poly.gammas[0] == self.GAMMA
+
+    def test_weights_derived_from_cutoff(self, poly_half):
+        assert np.array_equal(poly_half.weights, 1 - poly_half.gammas / poly_half.cutoff)
+        with pytest.raises(TypeError):
+            AuxPolynomial(
+                alpha=0.5, cutoff=30.0, r0=-0.25, gammas=(), residues=(), residue_errs=(), weights=()
+            )
+
+    def test_empty_polynomial_evaluates_to_r0(self):
+        poly = empty_polynomial()
+        assert poly.weights.size == 0
+        assert evaluate_at(poly, 7.0) == -0.25
+        rep = scan_u(poly, 0.0, 1.0, 0.25)
+        assert rep.maximum.value == rep.minimum.value == -0.25
 
 
 class TestEvaluateAt:
     def test_zero_term_polynomial_returns_r0_exactly(self):
-        poly = AuxPolynomial(alpha=0.5, cutoff=10.0, r0=-0.25, terms=())
+        poly = empty_polynomial()
         assert evaluate_at(poly, 0.0) == -0.25
         assert evaluate_at(poly, 123.456) == -0.25
 
@@ -227,11 +284,8 @@ class TestEvaluateAt:
             u = rng.uniform(0.0, 300.0)
             folded = evaluate_at(poly_half, u)
             paired = poly_half.r0 + math.fsum(
-                (
-                    t.weight * t.residue * cmath.exp(1j * t.gamma * u)
-                    + t.weight * t.residue.conjugate() * cmath.exp(-1j * t.gamma * u)
-                ).real
-                for t in poly_half.terms
+                (w * r * cmath.exp(1j * g * u) + w * r.conjugate() * cmath.exp(-1j * g * u)).real
+                for g, r, w in terms(poly_half)
             )
             assert abs(folded - paired) < 1e-12
 
@@ -240,9 +294,7 @@ class TestEvaluateAt:
         assert isinstance(v, float)
 
     def test_u_zero_direct_sum(self, poly_zero_alpha):
-        direct = poly_zero_alpha.r0 + 2.0 * sum(
-            t.weight * t.residue.real for t in poly_zero_alpha.terms
-        )
+        direct = poly_zero_alpha.r0 + 2.0 * sum(w * r.real for _, r, w in terms(poly_zero_alpha))
         assert evaluate_at(poly_zero_alpha, 0.0) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_bad_u(self, poly_half):
@@ -254,7 +306,7 @@ class TestEvaluateAt:
 
 class TestScanU:
     def test_constant_polynomial(self):
-        poly = AuxPolynomial(alpha=0.5, cutoff=10.0, r0=-0.25, terms=())
+        poly = empty_polynomial()
         rep, points = scanned_points(poly, 0.0, 10.0, 0.5)
         assert rep.maximum.value == rep.minimum.value == -0.25
         assert rep.sign_changes == ()
@@ -370,10 +422,10 @@ class TestAlphaHalfSummandStructure:
         from liouville_sums.zeta import zeta
 
         u = 0.0
-        for t in poly_half.terms[:10]:
-            assert abs(t.weight) <= 1.0
-            base = zeta(complex(1.0, 2 * t.gamma)).value
-            _, dz = zeta_with_prime(complex(0.5, t.gamma))
-            summand = (base / (1j * t.gamma * dz.value)).real * t.weight
-            contribution = (t.weight * t.residue * cmath.exp(1j * t.gamma * u)).real
+        for g, r, w in terms(poly_half)[:10]:
+            assert abs(w) <= 1.0
+            base = zeta(complex(1.0, 2 * g)).value
+            _, dz = zeta_with_prime(complex(0.5, g))
+            summand = (base / (1j * g * dz.value)).real * w
+            contribution = (w * r * cmath.exp(1j * g * u)).real
             assert summand == pytest.approx(contribution, abs=1e-12)

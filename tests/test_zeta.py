@@ -12,6 +12,7 @@ from liouville_sums.zeta import (
     _COEFF,
     BERNOULLI_2K,
     MAX_M,
+    SUPPORTED_RE_MAX,
     ComplexValue,
     _em_params_batch,
     _tail_factor,
@@ -179,6 +180,30 @@ class TestZeta:
             zeta(complex(0.5, 2e4))
         with pytest.raises(ValueError, match="Re s = -10.5 below the supported minimum"):
             zeta(complex(-10.5, 3.0))
+
+    @pytest.mark.parametrize(
+        "s, match",
+        [
+            (complex(math.inf, 0.0), r"s = \(inf\+0j\) is not finite"),
+            (complex(-math.inf, 1.0), r"s = \(-inf\+1j\) is not finite"),
+            (complex(math.nan, 0.0), r"s = \(nan\+0j\) is not finite"),
+            (complex(0.5, math.nan), r"s = \(0.5\+nanj\) is not finite"),
+            (complex(0.5, -math.inf), r"s = \(0.5-infj\) is not finite"),
+            (complex(1e103, 0.0), r"s = \(1e\+103\+0j\): Re s above the supported maximum"),
+            (complex(SUPPORTED_RE_MAX * 1.5, 2.0), r"s = \(150000\+2j\): Re s above the supported maximum"),
+        ],
+    )
+    def test_rejects_non_finite_and_far_right_points(self, s, match):
+        # each is rejected before any work, alone or in a batch
+        with pytest.raises(ValueError, match=match):
+            zeta(s)
+        with pytest.raises(ValueError, match=match):
+            zeta_batch([complex(0.5, 14.1347), s])
+
+    def test_largest_supported_real_part(self):
+        for s in (complex(SUPPORTED_RE_MAX, 0.0), complex(SUPPORTED_RE_MAX, 9999.0)):
+            got = zeta(s)
+            assert abs(got.value - 1.0) <= got.err
 
     def test_eta_cross_check_random_points(self):
         rng = random.Random(20240811)
