@@ -34,7 +34,8 @@ e_j added in any order, satisfies (Ogita, Rump and Oishi, Prop. 4.5)
 The proof uses only sum|e_j| <= gamma_{N-1} sum|x| and that the float sum
 of the N - 1 errors, in whatever order they are added, is within
 gamma_{N-2} sum|e_j| of their exact sum.  Blocks hold
-N <= MAX_SEGMENT_SIZE = 2^25 terms, so gamma_{N-1} < 2^-28 and
+N <= MAX_SEGMENT_SIZE = 2^25 terms (sieve_segment and accumulate refuse
+longer ones), so gamma_{N-1} < 2^-28 and
 gamma_{N-1}^2 < u/8.  Hence |r - s| <= (1 + 1/8) u sum|x| < eps *
 block_abs_sum, the budget of (b).  (block_abs_sum is a float sum of the
 weights 1/n^alpha = |x_i|, itself within a relative 2^-28 of sum|x|, well
@@ -115,7 +116,7 @@ from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .liouville import DEFAULT_SEGMENT_SIZE, LambdaBlock, primes_upto, stream_lambda_range
+from .liouville import DEFAULT_SEGMENT_SIZE, MAX_SEGMENT_SIZE, LambdaBlock, primes_upto, stream_lambda_range
 
 #: binary64 machine epsilon (2^-52); unit roundoff is EPS/2.
 EPS = float(np.finfo(np.float64).eps)
@@ -359,15 +360,19 @@ def accumulate(state: SumState, block: LambdaBlock) -> SumState:
 
     Args:
         state: running sum; mutated in place and returned.
-        block: next block; must start at state.upto + 1.
+        block: next block; must start at state.upto + 1 and hold at most
+            MAX_SEGMENT_SIZE values, which the error budget assumes.
 
     Raises:
-        ValueError: on a gap or overlap between state and block.
+        ValueError: on a gap or overlap between state and block, or a block
+            longer than MAX_SEGMENT_SIZE.
     """
     if block.lo != state.upto + 1:
         raise ValueError(
             f"non-contiguous block: state ends at {state.upto}, block starts at {block.lo}"
         )
+    if len(block) > MAX_SEGMENT_SIZE:
+        raise ValueError(f"block of {len(block)} values exceeds MAX_SEGMENT_SIZE = {MAX_SEGMENT_SIZE}")
     _fold(state, _Walker(state.alpha).block_sum(block.values, block.lo))
     return state
 
@@ -663,7 +668,7 @@ def scan_sign(
         trace_every: trace sampling stride, >= 1
         checkpoint_path: optional JSON checkpoint rewritten every
             checkpoint_every integers; an existing compatible checkpoint is
-            resumed from, and an existing trace is first cut back to the
+            resumed from; a traced resume first cuts the trace back to the
             length the checkpoint records, so that no row is written twice
         checkpoint_every: checkpoint interval, >= 1
         progress: optional callback invoked with the last integer processed
@@ -674,8 +679,9 @@ def scan_sign(
     Raises:
         ValueError: on an invalid range, alpha or stride, a checkpoint
             that was written for another scan, does not decode, or holds a
-            tally that disagrees with its state, or a trace shorter than the
-            checkpoint records.
+            tally that disagrees with its state, or a traced resume from a
+            checkpoint that records no trace, or whose trace is missing or
+            shorter than it records.
         RuntimeError: if the tight accumulator cannot confirm the first
             violation flagged by the per-X bound.
     """
@@ -695,9 +701,20 @@ def scan_sign(
     if checkpoint_path and os.path.exists(checkpoint_path):
         state, tally, trace_bytes = _load_checkpoint(checkpoint_path, scan)
 
-    resuming = trace_path is not None and state.upto > 0 and os.path.exists(trace_path)
-    if resuming and trace_bytes is not None:
-        # drop the rows a run past the checkpoint wrote; they are written again
+    resuming = trace_path is not None and state.upto > 0
+    if resuming:
+        # a traced resume continues the trace the checkpoint records, and
+        # drops the rows a run past the checkpoint wrote; they are written again
+        if trace_bytes is None:
+            raise ValueError(
+                f"checkpoint {checkpoint_path!r} records an untraced scan; "
+                f"trace {trace_path!r} cannot continue it"
+            )
+        if not os.path.exists(trace_path):
+            raise ValueError(
+                f"trace {trace_path!r} is missing; checkpoint {checkpoint_path!r} records "
+                f"{trace_bytes} bytes of it"
+            )
         if os.path.getsize(trace_path) < trace_bytes:
             raise ValueError(
                 f"trace {trace_path!r} is shorter than the {trace_bytes} bytes "

@@ -33,9 +33,11 @@ the batch, and none lets a point's entries depend on the other points:
 - Dirichlet sums, by complete multiplicativity.  A table holds n^-s for
   1 <= n < N at every point: a prime p takes one complex exp,
   exp(-s log p), and a composite n is the product of the entries of its
-  smallest prime factor p and of its cofactor n / p.  The table is filled
-  one dyadic range [2^j, 2^(j+1)) at a time, so the cofactor (at most n / 2)
-  is ready when n is reached.  A table holds points of increasing N and at
+  smallest prime factor p and of its cofactor n / p.  The factors, the
+  cofactors and log n are built per call, up to the largest N, from the
+  primes of primes_upto.  The table is filled one dyadic range
+  [2^j, 2^(j+1)) at a time, so the cofactor (at most n / 2) is ready when
+  n is reached.  A table holds points of increasing N and at
   most _BATCH entries (512 KiB with its log-weighted twin).  A point's sum,
   and the log-weighted sum of its derivative, is one np.add.reduceat
   segment of its own row, [1, N), which reduceat sums on its own.
@@ -70,11 +72,12 @@ ones are rejected.  All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .liouville import primes_upto
 
 #: Largest supported |Im s|; accuracy degrades and N grows beyond this.
 SUPPORTED_IM_MAX = 1.0e4
@@ -238,35 +241,26 @@ def _em_params_batch(s: np.ndarray, target_eps: float) -> tuple[np.ndarray, np.n
     return N.astype(np.int64), M, fac[np.arange(s.size), M - 1]
 
 
-def _factor_plan(length: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The primes below length, and each n's smallest prime factor and cofactor.
+def _factor_plan(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The primes below length, their logs, each n's smallest prime factor and cofactor, and log n.
 
-    Returns (primes as a list, the same as an index array, their logs, fac,
-    cof), where n = fac[n] * cof[n] for 0 < n < length: a composite's
-    smallest prime factor p and its cofactor n / p <= n / 2, or n and 1 for
-    a prime (and 1 and 1 for n = 1).  The sieve is small and runs on Python
-    lists, which keeps numpy's masked-indexing code out of a short run's
-    resident set.
+    Returns (primes, log primes, fac, cof, logs), where n = fac[n] * cof[n]
+    for 0 < n < length: a composite's smallest prime factor p and its
+    cofactor n / p <= n / 2, or n and 1 for a prime (and 1 and 1 for n = 1);
+    logs[n] = log n, and 0 at n = 0.  The sieving primes come from
+    primes_upto, taken in decreasing order so that the smallest writes last.
     """
-    spf = list(range(length))
-    for p in range(2, math.isqrt(length - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, length, p):
-                if spf[m] == m:
-                    spf[m] = p
-    primes = [n for n in range(2, length) if spf[n] == n]
-    return (
-        primes,
-        np.array(primes, dtype=np.intp),
-        np.log(np.array(primes, dtype=np.float64)),
-        np.array(spf, dtype=np.intp),
-        np.array([n // p if p else 0 for n, p in enumerate(spf)], dtype=np.intp),
-    )
+    n = np.arange(length)
+    fac = n.copy()
+    for p in primes_upto(math.isqrt(length - 1))[::-1].tolist():
+        fac[p * p :: p] = p
+    primes = np.flatnonzero(fac[2:] == n[2:]) + 2
+    cof = n // np.maximum(fac, 1)
+    logs = np.log(np.maximum(n, 1), dtype=np.float64)
+    return primes, logs[primes], fac, cof, logs
 
 
-def _dirichlet_table(
-    s: np.ndarray, plan: tuple, logs: np.ndarray, table: np.ndarray, work: np.ndarray
-) -> None:
+def _dirichlet_table(s: np.ndarray, plan: tuple, table: np.ndarray, work: np.ndarray) -> None:
     """Fill table[i, n] = n^(-s_i) and work[i, n] = log(n) n^(-s_i), 0 < n < length.
 
     table and work have a row per point and `length` columns.  Each prime
@@ -274,9 +268,9 @@ def _dirichlet_table(
     the columns fac[n] and cof[n], which are the prime itself and 1, or
     columns below lo.
     """
-    plist, primes, logp, fac, cof = plan
+    primes, logp, fac, cof, logs = plan
     length = table.shape[1]
-    count = bisect.bisect_left(plist, length)
+    count = primes.searchsorted(length)
     phase = work[:, :count]
     np.multiply(-s[:, None], logp[:count], out=phase)
     np.exp(phase, out=phase)
@@ -299,33 +293,6 @@ def _dirichlet_table(
     )
 
 
-def _plan(length: int) -> tuple[tuple, np.ndarray]:
-    """The factor plan and the table of log n (0 at n = 0) for tables of `length` columns.
-
-    Both come from one module cache whose length doubles to grow.  A plan
-    for a longer length serves a shorter one unchanged: fac, cof and log n
-    for n < length do not depend on it, and _dirichlet_table cuts the primes
-    at its own length.
-    """
-    global _plan_cache
-    size, plan, logs = _plan_cache
-    if length > size:
-        size = max(length, 2 * size)
-        plan = _factor_plan(size)
-        logs = np.zeros(size)
-        np.log(np.arange(1, size, dtype=np.float64), out=logs[1:])
-        for a in (*plan[1:], logs):
-            a.flags.writeable = False
-        _plan_cache = (size, plan, logs)
-    return plan, logs
-
-
-# (length, _factor_plan(length), log n for 0 <= n < length), the arrays
-# read-only: read and replaced as one object, as liouville._prime_cache is, so
-# a concurrent grow never pairs a plan with a shorter log table.
-_plan_cache: tuple[int, tuple, np.ndarray] = (0, (), np.zeros(0))
-
-
 def _em_batch(
     s: np.ndarray, N: np.ndarray, M: np.ndarray, fac: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +308,8 @@ def _em_batch(
     Ns = N.tolist()
     order = sorted(range(len(Ns)), key=Ns.__getitem__)
     top = Ns[order[-1]]
-    plan, logs = _plan(top)
+    plan = _factor_plan(top)
+    logs = plan[-1]
 
     # Each batch's table of n^-s and its log-weighted twin share one buffer.
     sums = np.empty((2, len(Ns)), dtype=np.complex128)
@@ -354,7 +322,7 @@ def _em_batch(
         batch = order[start:stop]
         rows, width = len(batch), Ns[batch[-1]]
         tables = buf[:, : rows * width]
-        _dirichlet_table(s[batch], plan, logs, *tables.reshape(2, rows, width))
+        _dirichlet_table(s[batch], plan, *tables.reshape(2, rows, width))
         # Row r's segment is [r width + 1, r width + N); the last row's runs to
         # the end of the table, its width being its own N.
         bounds = [b for r, i in enumerate(batch) for b in (r * width + 1, r * width + Ns[i])]

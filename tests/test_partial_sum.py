@@ -87,6 +87,17 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="non-contiguous"):
             accumulate(state, sieve_segment(10, 20))
 
+    def test_rejects_block_longer_than_the_segment_cap(self):
+        # the Sum2 budget and _block_errmax assume blocks of at most the cap
+        values = np.broadcast_to(np.int8(1), liouville.MAX_SEGMENT_SIZE + 1)
+        with pytest.raises(ValueError, match="exceeds MAX_SEGMENT_SIZE"):
+            accumulate(SumState(alpha=0.5), LambdaBlock(lo=1, values=values))
+
+    def test_segment_cap_within_the_error_budget(self):
+        # the module's Sum2 budget (gamma_{N-1}^2 < u/8) and _block_errmax's
+        # factor 1 + 2^-25 hold only for blocks of N <= 2^25 terms
+        assert liouville.MAX_SEGMENT_SIZE <= 2 ** 25
+
     def test_initial_state_is_clean(self):
         state = SumState(alpha=0.25)
         assert state.upto == 0
@@ -776,6 +787,39 @@ class TestScanSign:
         trace.write_text(TRACE_HEADER + "\n")
         with pytest.raises(ValueError, match="is shorter than the .* bytes checkpoint"):
             scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+
+    def test_resume_with_missing_trace_rejected(self, tmp_path):
+        # a traced checkpoint cannot be continued without its trace, and a
+        # run without one does not start a new trace that lacks the early rows
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        kwargs = dict(segment_size=1000, trace_path=str(trace), checkpoint_path=str(cp), checkpoint_every=1000)
+        scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+        trace.unlink()
+        with pytest.raises(ValueError, match=r"trace '.*t\.csv' is missing; checkpoint '.*c\.json'"):
+            scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+        assert not trace.exists()
+
+    def test_traced_resume_of_untraced_checkpoint_rejected(self, tmp_path):
+        # an untraced checkpoint has no trace to continue: the file at the
+        # trace path is left as it is, and the checkpoint still resumes untraced
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        args = (1, 5000, 1.0, Sign.NONNEGATIVE)
+        kwargs = dict(segment_size=1000, checkpoint_path=str(cp), checkpoint_every=1000)
+        want = scan_sign(*args, **kwargs)
+        assert json.loads(cp.read_text())["trace_bytes"] is None
+        trace.write_text("unrelated\n")
+        with pytest.raises(ValueError, match=r"checkpoint '.*c\.json' records an untraced scan; trace '.*t\.csv'"):
+            scan_sign(*args, trace_path=str(trace), **kwargs)
+        assert trace.read_text() == "unrelated\n"
+        assert scan_sign(*args, **kwargs) == want
+
+    def test_traced_checkpoint_resumes_untraced(self, tmp_path):
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        args = (1, 5000, 1.0, Sign.NONNEGATIVE)
+        kwargs = dict(segment_size=1000, checkpoint_path=str(cp), checkpoint_every=1000)
+        want = scan_sign(*args, trace_path=str(trace), **kwargs)
+        assert json.loads(cp.read_text())["trace_bytes"] > 0
+        assert scan_sign(*args, **kwargs) == want
 
     def test_checkpoint_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "cp.json"

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from liouville_sums.zeta import (
     _COEFF,
     BERNOULLI_2K,
+    EPS,
     MAX_M,
     SUPPORTED_RE_MAX,
     ComplexValue,
     _em_params_batch,
+    _factor_plan,
     _tail_factor,
     em_params,
     zeta,
@@ -301,6 +303,23 @@ class TestBatch:
 
     def test_empty(self):
         assert all(a.size == 0 for a in zeta_batch([]))
+
+
+class TestFactorPlan:
+    @pytest.mark.parametrize("length", [10, 11, 12, 49, 50, 121, 904, 1808, 6367])
+    def test_plan_equals_trial_division(self, length):
+        # lengths next to the prime squares 9, 49 and 121, and longer ones up
+        # to about twice the N of |Im s| = 1e4
+        primes, logp, fac, cof, logs = _factor_plan(length)
+        spf = [0, 1]
+        for n in range(2, length):
+            spf.append(next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n))
+        assert fac.tolist() == spf
+        assert cof.tolist() == [0] + [n // spf[n] for n in range(1, length)]
+        assert primes.tolist() == [n for n in range(2, length) if spf[n] == n]
+        want = np.array([0.0] + [math.log(n) for n in range(1, length)])
+        np.testing.assert_allclose(logs, want, rtol=2 * EPS, atol=0)
+        assert logp.tolist() == logs[primes].tolist()
 
 
 class TestHighOrdinateOracle:
