@@ -10,7 +10,7 @@ Provides:
 - sieve_segment(lo, hi): exact lambda on a contiguous window via a
   weighted-add segmented sieve with one int16 accumulator.
 - stream_lambda_range(lo, hi, segment_size): consecutive sieved blocks
-  covering [lo, hi].
+  covering [lo, hi], from one sieving plan.
 
 Why the sieve is exact.  Let r = isqrt(hi), S = _LOG_SCALE = 64, and let P
 be the counted primes: those <= r together with the wheel primes 2, 3, 5,
@@ -48,10 +48,10 @@ buffer, 2 bytes per integer.  Bytes [a, b) overlap only the accumulator
 entries [a/2, b/2), all below b, and the runs go in increasing order, so
 every entry a store overwrites has already been read.
 
-The primes and their weights come from one module table that grows on
-demand and is only ever replaced whole, never written, so disjoint segments
-can be sieved concurrently.  Anything that needs ordered results (running
-sums in particular) must consume blocks in order.
+The sieving plan, the primes <= r and their weights, is built per call: a
+stream's serves all its blocks, each sieving with its own primes <= r.  No
+state is shared, so disjoint segments can be sieved concurrently.  Anything
+that needs ordered results (running sums) must consume blocks in order.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ MAX_SEGMENT_SIZE = 1 << 25
 # Small primes used by lambda_at.  65536^2 > 4.2e9, enough to factor any
 # 32-bit integer outright; larger n fall back to odd trial division.
 _SMALL_PRIME_LIMIT = 65536
-
-# (limit, every prime <= limit, the sieve weight _log_weight(p) of each), the
-# arrays read-only: read and replaced as one object, so a concurrent grow
-# never pairs a limit with a shorter table, nor a table with another's weights.
-# Racing grows each slice their own tables; the loser's only costs a rebuild.
-_prime_cache: tuple[int, np.ndarray, np.ndarray] = (
-    0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-)
 
 #: Scale S of the sieve's fixed-point logarithms: a prime p weighs
 #: 2*floor(S*log2 p) + 1.
@@ -104,24 +96,6 @@ def primes_upto(n: int) -> np.ndarray:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return np.nonzero(is_prime)[0].astype(np.int64)
-
-
-def _primes_through(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(all primes p <= n, their _log_weight(p)), sliced from the module tables.
-
-    The tables double their limit to grow, and the weights are computed once,
-    when a prime enters the table.
-    """
-    global _prime_cache
-    limit, table, weights = _prime_cache
-    if n > limit:
-        limit = max(n, 2 * limit)
-        table = primes_upto(limit)
-        weights = np.array([_log_weight(p) for p in table.tolist()], dtype=np.int64)
-        table.flags.writeable = weights.flags.writeable = False
-        _prime_cache = (limit, table, weights)
-    count = table.searchsorted(n, side="right")
-    return table[:count], weights[:count]
 
 
 def _all_unit(values) -> bool:
@@ -169,7 +143,8 @@ def lambda_at(n: int) -> int:
     """Liouville function at a single point, by full trial division.
 
     Serves as the independent oracle for the sieve: it shares no code with
-    sieve_segment beyond the prime table.
+    sieve_segment beyond primes_upto, from which it takes its own constant
+    list of trial divisors.
 
     Args:
         n: integer >= 1
@@ -184,8 +159,7 @@ def lambda_at(n: int) -> int:
         raise ValueError(f"lambda(n) requires n >= 1, got {n}")
     m = n
     omega = 0
-    for p in _primes_through(_SMALL_PRIME_LIMIT)[0]:
-        p = int(p)
+    for p in _small_primes():
         if p * p > m:
             break
         while m % p == 0:
@@ -214,6 +188,12 @@ def _log_weight(p: int) -> int:
 
 
 @lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """The primes <= _SMALL_PRIME_LIMIT, lambda_at's trial divisors."""
+    return tuple(primes_upto(_SMALL_PRIME_LIMIT).tolist())
+
+
+@lru_cache(maxsize=1)
 def _wheel_table() -> np.ndarray:
     """Weights of the wheel prime powers dividing n, indexed by n mod _WHEEL_PERIOD."""
     table = np.zeros(_WHEEL_PERIOD, dtype=np.int16)
@@ -223,6 +203,18 @@ def _wheel_table() -> np.ndarray:
             table[:: p ** k] += w
     table.flags.writeable = False
     return table
+
+
+def _check_size(size: int) -> None:
+    """Refuse a block of more than MAX_SEGMENT_SIZE integers."""
+    if size > MAX_SEGMENT_SIZE:
+        raise ValueError(f"segment of {size} entries exceeds the memory budget of {MAX_SEGMENT_SIZE}")
+
+
+def _sieve_plan(hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(every prime p <= isqrt(hi), its weight _log_weight(p)): the primes that sieve up to hi."""
+    primes = primes_upto(math.isqrt(hi))
+    return primes, np.array([_log_weight(p) for p in primes.tolist()], dtype=np.int64)
 
 
 def sieve_segment(lo: int, hi: int) -> LambdaBlock:
@@ -237,8 +229,8 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
     exactly when A(n) < (S - 1)*floor(log2 n) (see the module docstring for
     the proof).  acc(n) <= (2*S + 1)*log2 n < 8256 for n < 2^64, within
     int16.  lambda is written in place over the accumulator's low bytes, so
-    the block takes 2 bytes per integer.  The sieving primes and their
-    weights come from the module's prime table.
+    the block takes 2 bytes per integer.  Each call builds its own sieving
+    plan, the primes <= sqrt(hi) and their weights, and shares nothing.
 
     Args:
         lo: window start (inclusive), >= 1
@@ -255,12 +247,13 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
         raise ValueError(f"segment must start at >= 1, got lo={lo}")
     if lo > hi:
         raise ValueError(f"empty segment: lo={lo} > hi={hi}")
-    size = hi - lo + 1
-    if size > MAX_SEGMENT_SIZE:
-        raise ValueError(
-            f"segment of {size} entries exceeds the memory budget of {MAX_SEGMENT_SIZE}"
-        )
+    _check_size(hi - lo + 1)
+    return _sieve_block(lo, hi, *_sieve_plan(hi))
 
+
+def _sieve_block(lo: int, hi: int, primes: np.ndarray, weights: np.ndarray) -> LambdaBlock:
+    """lambda on [lo, hi] from a plan holding every prime <= isqrt(hi); only those sieve."""
+    size = hi - lo + 1
     acc = np.empty(size, dtype=np.int16)
     table = _wheel_table()
     pos, off = 0, lo % _WHEEL_PERIOD
@@ -269,8 +262,8 @@ def sieve_segment(lo: int, hi: int) -> LambdaBlock:
         acc[pos : pos + n] = table[off : off + n]
         pos, off = pos + n, 0
     done = dict(_WHEEL)  # prime -> highest power already in acc
-    primes, weights = _primes_through(math.isqrt(hi))
-    for p, w in zip(primes.tolist(), weights.tolist()):
+    count = primes.searchsorted(math.isqrt(hi), side="right")
+    for p, w in zip(primes[:count].tolist(), weights[:count].tolist()):
         pk = p ** (done.get(p, 0) + 1)
         while pk <= hi:
             start = -lo % pk
@@ -306,6 +299,9 @@ def stream_lambda_range(
 ) -> Iterator[LambdaBlock]:
     """Yield consecutive non-overlapping blocks of lambda covering [lo, hi].
 
+    One sieving plan, the primes <= sqrt(hi) and their weights, serves every
+    block, which sieves with its primes through sqrt(block hi).
+
     Args:
         lo: first integer to cover, >= 1
         hi: last integer to cover, >= lo
@@ -315,12 +311,15 @@ def stream_lambda_range(
         LambdaBlock instances covering [lo, lo + segment_size - 1],
         [lo + segment_size, ...] and so on up to hi, in order.
     """
+    lo, hi, segment_size = operator.index(lo), operator.index(hi), operator.index(segment_size)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     if lo < 1 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]")
+    _check_size(min(segment_size, hi - lo + 1))
+    plan = _sieve_plan(hi)
     start = lo
     while start <= hi:
         end = min(start + segment_size - 1, hi)
-        yield sieve_segment(start, end)
+        yield _sieve_block(start, end, *plan)
         start = end + 1

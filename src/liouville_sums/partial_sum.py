@@ -561,6 +561,27 @@ def _write_checkpoint(
     os.replace(tmp, path)
 
 
+def _check_state(state: SumState, path: str) -> None:
+    """Raise a ValueError naming the first field of state that no scan could hold.
+
+    Every float is finite, err_bound and abs_sum are >= 0, and at alpha = 0,
+    where the sum is exact, err_bound is 0 and value an integer.
+    """
+    def fail(name: str, why: str):
+        raise ValueError(f"checkpoint {path!r}: state.{name} = {getattr(state, name)!r} {why}")
+
+    for name in ("value", "comp", "err_bound", "abs_sum"):
+        if not math.isfinite(getattr(state, name)):
+            fail(name, "is not finite")
+    for name in ("err_bound", "abs_sum"):
+        if getattr(state, name) < 0:
+            fail(name, "is negative")
+    if state.alpha == 0 and state.err_bound != 0:
+        fail("err_bound", "is not 0 at alpha = 0")
+    if state.alpha == 0 and not state.value.is_integer():
+        fail("value", "is not an integer at alpha = 0")
+
+
 def _check_tally(tally: _ScanTally, upto: int, x_lo: int, path: str) -> None:
     """Raise a ValueError naming the first field of tally that no scan to upto could hold.
 
@@ -608,6 +629,7 @@ def _load_checkpoint(path: str, scan: dict) -> tuple[SumState, _ScanTally, Optio
                 f"scan requested {key}={want!r}"
             )
     state = _decode(SumState, payload.get("state"), scan, path, "state")
+    _check_state(state, path)
     # the writer checkpoints only at a block end before x_hi
     seg, x_hi = scan["segment_size"], scan["x_hi"]
     if not (0 < state.upto < x_hi and state.upto % seg == 0):
@@ -679,9 +701,9 @@ def scan_sign(
     Raises:
         ValueError: on an invalid range, alpha or stride, a checkpoint
             that was written for another scan, does not decode, or holds a
-            tally that disagrees with its state, or a traced resume from a
-            checkpoint that records no trace, or whose trace is missing or
-            shorter than it records.
+            state or tally that no scan could hold, or a traced resume from
+            a checkpoint that records no trace, or whose trace is missing,
+            shorter than it records or does not begin with TRACE_HEADER.
         RuntimeError: if the tight accumulator cannot confirm the first
             violation flagged by the per-X bound.
     """
@@ -720,6 +742,13 @@ def scan_sign(
                 f"trace {trace_path!r} is shorter than the {trace_bytes} bytes "
                 f"checkpoint {checkpoint_path!r} records"
             )
+        header = (TRACE_HEADER + "\n").encode()
+        with open(trace_path, "rb") as fh:
+            if trace_bytes < len(header) or fh.read(len(header)) != header:
+                raise ValueError(
+                    f"trace {trace_path!r} does not begin with the header {TRACE_HEADER!r} "
+                    f"in the {trace_bytes} bytes checkpoint {checkpoint_path!r} records"
+                )
         os.truncate(trace_path, trace_bytes)
     with (
         open(trace_path, "a" if resuming else "w", encoding="utf-8")

@@ -10,13 +10,15 @@ zeros are never computed from scratch here, only locally refined by Newton's
 method on t -> zeta(1/2 + it), whose step works on each seed on its own.
 
 File format (stable contract): UTF-8 text, one ordinate in plain decimal per
-line, optional '#'-prefixed comment lines, blank lines ignored, no
-locale-dependent separators.
+line (ASCII digits, optionally a point and more digits: no sign, exponent or
+digit separators), optional '#'-prefixed comment lines, blank lines ignored,
+no locale-dependent separators.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -24,6 +26,9 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from .zeta import SUPPORTED_IM_MAX, zeta, zeta_with_prime
+
+#: An ordinate as the file format writes it: a plain decimal.
+_PLAIN_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 #: Any genuine table starts at the first ordinate, which lies in this window.
 FIRST_ORDINATE_WINDOW = (14.0, 14.3)
@@ -95,16 +100,17 @@ def load_zeros(path: Union[str, Path]) -> ZeroTable:
     """Parse a zero-ordinate table from a text file.
 
     Args:
-        path: file with one decimal ordinate per line; '#' comments and blank
-            lines are allowed.
+        path: file with one plain decimal ordinate per line; '#' comments
+            and blank lines are allowed.
 
     Returns:
         Validated ZeroTable with the file path as source and the minimum
         number of decimal places seen as stated_precision.
 
     Raises:
-        ValueError: malformed line (with its line number), non-increasing or
-            non-positive sequence, or an empty table.
+        ValueError: a line that is not a plain decimal (with its line
+            number), non-increasing or non-positive sequence, or an empty
+            table.
         OSError: unreadable file.
     """
     path = Path(path)
@@ -121,6 +127,8 @@ def load_zeros(path: Union[str, Path]) -> ZeroTable:
                 raise ValueError(f"{path}:{lineno}: malformed ordinate {line!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite ordinate {line!r}")
+            if not _PLAIN_DECIMAL.fullmatch(line):
+                raise ValueError(f"{path}:{lineno}: malformed ordinate {line!r}")
             decimals = len(line.split(".", 1)[1]) if "." in line else 0
             min_decimals = decimals if min_decimals is None else min(min_decimals, decimals)
             if gammas and value <= gammas[-1]:

@@ -241,16 +241,38 @@ class TestMalformedCheckpoint:
             40_000, tmp_path, capsys,
         )
 
-    def _assert_rejected(self, corrupt, fragments, x_lo, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "alpha, name, hex_value, why",
+        [
+            (0.5, "err_bound", "nan", "is not finite"),
+            (0.5, "err_bound", "inf", "is not finite"),
+            (0.5, "err_bound", "-0x1p+0", "is negative"),
+            (0.5, "value", "-inf", "is not finite"),
+            (0.5, "comp", "nan", "is not finite"),
+            (0.5, "abs_sum", "-0x1p-3", "is negative"),
+            (0.0, "err_bound", "0x1p-40", "is not 0 at alpha = 0"),
+            (0.0, "value", "-0x1.8p+0", "is not an integer at alpha = 0"),
+        ],
+    )
+    def test_impossible_state_rejected(self, alpha, name, hex_value, why, tmp_path, capsys):
+        # a state no scan could hold: a bound that is not finite and >= 0
+        # would resume into indeterminate or unsound sign calls
+        self._assert_rejected(
+            lambda p: {**p, "state": {**p["state"], name: hex_value}},
+            [f"state.{name} = {float.fromhex(hex_value)!r} {why}"],
+            17, tmp_path, capsys, alpha,
+        )
+
+    def _assert_rejected(self, corrupt, fragments, x_lo, tmp_path, capsys, alpha=0.5):
         cp = tmp_path / "cp.json"
-        args = self.ARGS + ["--from", str(x_lo), "--checkpoint", str(cp)]
+        args = self.ARGS + ["--from", str(x_lo), "--checkpoint", str(cp), "--alpha", str(alpha)]
         assert main(args) == EXIT_OK
         bad = corrupt(json.loads(cp.read_text()))
         cp.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         capsys.readouterr()
         with pytest.raises(ValueError) as exc:
             scan_sign(
-                x_lo, 60_000, 0.5, Sign.NONPOSITIVE, segment_size=16384,
+                x_lo, 60_000, alpha, Sign.NONPOSITIVE, segment_size=16384,
                 checkpoint_path=str(cp), checkpoint_every=30_000,
             )
         message = str(exc.value)

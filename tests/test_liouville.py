@@ -119,7 +119,6 @@ class TestSieveSegment:
         # lambda is written over the low bytes of the int16 accumulator: a
         # block takes 2 bytes per integer, and at most 2.5 at its peak
         n = 2 ** 20
-        sieve_segment(10 ** 6, 10 ** 6 + n - 1)  # the prime table is the process's
         tracemalloc.start()
         try:
             values = sieve_segment(10 ** 6, 10 ** 6 + n - 1).values
@@ -146,12 +145,12 @@ class TestSieveSegment:
         assert table.dtype == np.int16 and len(table) == 55_440
         assert int(table[0]) == sum(e * liouville._log_weight(p) for p, e in liouville._WHEEL)
 
-    def test_threadsafe_disjoint_segments(self, fresh_prime_cache):
+    def test_threadsafe_disjoint_segments(self):
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        # windows at different heights, so the prime table grows inside the
-        # worker threads, switching often
+        # windows at different heights, each sieved from its own plan inside
+        # the worker threads, switching often
         windows = [(10 ** k - 150, 10 ** k + 150) for k in range(3, 11)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -162,43 +161,6 @@ class TestSieveSegment:
             sys.setswitchinterval(interval)
         for (lo, hi), blk in zip(windows, blocks):
             assert blk.values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
-
-
-@pytest.fixture
-def fresh_prime_cache(monkeypatch):
-    empty = np.empty(0, dtype=np.int64)
-    monkeypatch.setattr(liouville, "_prime_cache", (0, empty, empty))
-
-
-class TestPrimeCache:
-    def test_growth_then_slicing(self, fresh_prime_cache):
-        # a table of the primes <= 5 must not serve [1, 200]: 169 = 13^2
-        windows = [(1, 35), (1, 200), (10 ** 12 - 100, 10 ** 12 + 100), (1, 200)]
-        # p == isqrt(hi) for each p: the slice of the grown table must keep p
-        windows += [(max(1, p * p - 50), p * p + 50) for p in (7, 11, 13, 65521, 999_983)]
-        blocks, limits = [], []
-        for lo, hi in windows:
-            blocks.append(sieve_segment(lo, hi))
-            limits.append(liouville._prime_cache[0])
-        assert limits[:3] == [5, 14, 10 ** 6]
-        assert set(limits[3:]) == {10 ** 6}
-        assert not liouville._prime_cache[1].flags.writeable
-        for (lo, hi), blk in zip(windows, blocks):
-            assert blk.values.tolist() == [lambda_at(n) for n in range(lo, hi + 1)]
-
-    def test_slices_hold_exactly_the_primes_through_n(self, fresh_prime_cache):
-        for n in (1, 2, 5, 100, 13, 1000, 997, 998, 2):
-            assert liouville._primes_through(n)[0].tolist() == primes_upto(n).tolist()
-
-    def test_cached_weights_follow_the_table(self, fresh_prime_cache):
-        # each prime's sieve weight is kept beside it, also after the table grows
-        for n in (1, 30, 31, 200, 5000, 2):
-            primes, weights = liouville._primes_through(n)
-            assert primes.tolist() == primes_upto(n).tolist()
-            assert weights.tolist() == [liouville._log_weight(p) for p in primes.tolist()]
-            limit, table, cached = liouville._prime_cache
-            assert len(cached) == len(table) and not cached.flags.writeable
-            assert cached.tolist() == [liouville._log_weight(p) for p in table.tolist()]
 
 
 class TestLambdaBlock:
@@ -283,6 +245,24 @@ class TestStreamLambda:
     def test_partitioning_invariance(self, limit, seg):
         merged = np.concatenate([b.values for b in stream_lambda_range(1, limit, seg)])
         assert np.array_equal(merged, sieve_segment(1, limit).values)
+
+    def test_block_ends_around_prime_squares(self):
+        # one plan serves the stream; each block sieves with its primes through
+        # isqrt(block hi): without p when the block ends at p^2 - 1, with it
+        # from p^2 on.  Then a window at 1e12 cut into blocks of three sizes.
+        cuts = []
+        for p in (7, 11, 13, 65521, 999_983):
+            lo = max(1, p * p - 30)
+            cuts += [(lo, p * p + 30, end - lo + 1) for end in (p * p - 1, p * p, p * p + 1)]
+        cuts += [(10 ** 12 - 100, 10 ** 12 + 100, seg) for seg in (13, 64, 150)]
+        windows = {}
+        for lo, hi, seg in cuts:
+            if (lo, hi) not in windows:
+                windows[lo, hi] = [lambda_at(n) for n in range(lo, hi + 1)]
+                assert sieve_segment(lo, hi).values.tolist() == windows[lo, hi]
+            blocks = list(stream_lambda_range(lo, hi, seg))
+            assert blocks[0].hi == lo + seg - 1
+            assert np.concatenate([b.values for b in blocks]).tolist() == windows[lo, hi]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -479,13 +479,13 @@ class TestScanSign:
 
     def test_violating_scan_sieves_once(self, monkeypatch):
         sieved = []
-        real = liouville.sieve_segment
+        real = liouville._sieve_block
 
-        def counting(lo, hi):
+        def counting(lo, hi, *plan):
             sieved.append(hi - lo + 1)
-            return real(lo, hi)
+            return real(lo, hi, *plan)
 
-        monkeypatch.setattr(liouville, "sieve_segment", counting)
+        monkeypatch.setattr(liouville, "_sieve_block", counting)
         rep = scan_sign(
             100_000, 400_000, 1.0, Sign.NONPOSITIVE, segment_size=2 ** 14
         )
@@ -788,6 +788,28 @@ class TestScanSign:
         with pytest.raises(ValueError, match="is shorter than the .* bytes checkpoint"):
             scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
 
+    def test_trace_without_header_rejected(self, tmp_path):
+        # a trace overwritten with other bytes, however long, or a checkpoint
+        # that records fewer bytes than the header, is not cut back and
+        # continued: the trace is left as it is
+        trace, cp = tmp_path / "t.csv", tmp_path / "c.json"
+        kwargs = dict(segment_size=1000, trace_path=str(trace), checkpoint_path=str(cp), checkpoint_every=1000)
+        scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+        clean = trace.read_bytes()
+        payload = json.loads(cp.read_text())
+        trace.write_bytes(b"x" * (len(clean) + 10))
+        for bytes_recorded in (payload["trace_bytes"], len(TRACE_HEADER)):
+            cp.write_text(json.dumps({**payload, "trace_bytes": bytes_recorded}))
+            before = trace.read_bytes()
+            with pytest.raises(
+                ValueError,
+                match=rf"trace '.*t\.csv' does not begin with the header '{TRACE_HEADER}' in the "
+                rf"{bytes_recorded} bytes checkpoint '.*c\.json' records",
+            ):
+                scan_sign(1, 5000, 1.0, Sign.NONNEGATIVE, **kwargs)
+            assert trace.read_bytes() == before
+            trace.write_bytes(clean)
+
     def test_resume_with_missing_trace_rejected(self, tmp_path):
         # a traced checkpoint cannot be continued without its trace, and a
         # run without one does not start a new trace that lacks the early rows
@@ -929,7 +951,6 @@ class TestChunkWalk:
         # a block in flight holds a few chunk buffers of floats, not several
         # block-long arrays: three 2^20 blocks at alpha = 1/2, traced, stay
         # far below the ~32 MB of the block-wide float arrays
-        sieve_segment(1, 2 ** 20)  # the prime table is the process's, not the scan's
         for run in (
             lambda: scan_sign(17, 3 * 2 ** 20, 0.5, Sign.NONPOSITIVE, trace_path=str(tmp_path / "t.csv")),
             lambda: evaluate(3 * 2 ** 20, 0.5),
@@ -947,7 +968,6 @@ class TestChunkWalk:
         # integer: a scan peaks at 2.5 bytes per segment integer plus the
         # walker's buffers, well below two blocks alive at once
         seg = DEFAULT_SEGMENT_SIZE
-        sieve_segment(1, seg)  # the prime table is the process's, not the scan's
         walker = partial_sum._Walker(0.5)
         buffers = sum(a.nbytes for a in vars(walker).values() if isinstance(a, np.ndarray))
         tracemalloc.start()

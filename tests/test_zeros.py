@@ -1,4 +1,5 @@
 import importlib
+import re
 from functools import lru_cache
 
 import mpmath as mp
@@ -43,6 +44,16 @@ class TestLoadZeros:
         p = tmp_path / "bad.txt"
         p.write_text("14.134725\nnot-a-number\n")
         with pytest.raises(ValueError, match=r"bad.txt:2.*not-a-number"):
+            load_zeros(p)
+
+    @pytest.mark.parametrize(
+        "line", ["14.134725141735e0", "21.022_039_638_772", "+21.0", "-21.0", "21.", ".5e2", "\u0662\u0661.0"]
+    )
+    def test_only_plain_decimals(self, tmp_path, line):
+        # float() reads each of these, but the format holds plain decimals only
+        p = tmp_path / "bad.txt"
+        p.write_text(f"14.134725\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.txt:2: malformed ordinate {re.escape(repr(line))}"):
             load_zeros(p)
 
     def test_empty_file(self, tmp_path):
