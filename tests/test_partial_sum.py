@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from liouville_sums.partial_sum import (
     EPS,
     TRACE_HEADER,
     Sign,
+    SignReport,
     SumState,
     accumulate,
     euler_product_value,
@@ -978,6 +980,194 @@ class TestChunkWalk:
             tracemalloc.stop()
         assert rep.ok()
         assert peak <= 2.5 * seg + buffers, (peak, buffers)
+
+
+def _plain_report(sums: np.ndarray, x_lo: int, claimed: Sign, tally=None) -> SignReport:
+    """The alpha = 0 report of the exact sums at X = x_lo, x_lo + 1, ..., classified X by X.
+
+    tally, when given, holds what was tallied before x_lo: an extreme moves
+    only to a strictly smaller or larger sum, at the earliest X attaining it.
+    """
+    tally = tally or partial_sum._ScanTally()
+    bad = sums > 0 if claimed is Sign.NONPOSITIVE else sums < 0
+    i_min, i_max = int(np.argmin(sums)), int(np.argmax(sums))
+    low = (float(sums[i_min]), x_lo + i_min) if sums[i_min] < tally.min_value else (tally.min_value, tally.argmin)
+    high = (float(sums[i_max]), x_lo + i_max) if sums[i_max] > tally.max_value else (tally.max_value, tally.argmax)
+    return SignReport(
+        alpha=0.0,
+        x_lo=x_lo,
+        x_hi=x_lo + len(sums) - 1,
+        claimed_sign=claimed,
+        checked=len(sums),
+        violations=tally.violations + int(np.count_nonzero(bad)),
+        first_violation=tally.first_violation or (x_lo + int(np.argmax(bad)) if bad.any() else None),
+        min_value=low[0],
+        argmin=low[1],
+        max_value=high[0],
+        argmax=high[1],
+        indeterminate=0,
+    )
+
+
+class TestExactScan:
+    """The alpha = 0 scan judges chunks from 64-integer group sums and walks few X."""
+
+    @staticmethod
+    def _scan(monkeypatch, tmp_path, scan, seg, conforms):
+        monkeypatch.setattr(partial_sum, "_block_conforms", conforms)
+        trace = tmp_path / "trace.csv"
+        rep = scan_sign(*scan, segment_size=seg, trace_path=str(trace), trace_every=97)
+        return rep, trace.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [7, 64, None])
+    def test_equals_plain_reference(self, chunk, tmp_path, monkeypatch):
+        # every SignReport field equals np.cumsum of the sieve's values classified
+        # X by X, and the trace bytes equal those of the scan with every chunk
+        # walked X by X; clean and violating scans of both claims, x_lo off the
+        # multiples of 64 and inside a chunk, and the Polya sum's ties at its
+        # maximum 0 (earliest argmax)
+        if chunk is not None:
+            monkeypatch.setattr(partial_sum, "_CHUNK", chunk)
+        cases = [(1, 3000, 7), (17, 6000, 100), (1000, 5003, 1000), (2, 12_345, 1000)]
+        if chunk != 7:
+            cases += [(70_001, 140_001, 65_537), (2, 300_000, 65_537)]
+        real = partial_sum._block_conforms
+        for claimed in Sign:
+            for x_lo, x_hi, seg in cases:
+                scan = (x_lo, x_hi, 0.0, claimed)
+                sums = np.cumsum(sieve_segment(1, x_hi).values, dtype=np.int64)
+                want = _plain_report(sums[x_lo - 1 :], x_lo, claimed)
+                rep, trace = self._scan(monkeypatch, tmp_path, scan, seg, real)
+                assert rep == want, (scan, seg)
+                assert self._scan(monkeypatch, tmp_path, scan, seg, lambda *args: False) == (rep, trace)
+                monkeypatch.setattr(partial_sum, "_block_conforms", real)
+                assert scan_sign(*scan, segment_size=seg) == rep
+        # the clean scans: the Polya sum is 0 at X = 2, 4, 6, 10, 16, 26, ...
+        assert scan_sign(2, 12_345, 0.0, Sign.NONPOSITIVE).argmax == 2
+        assert scan_sign(17, 6000, 0.0, Sign.NONPOSITIVE).argmax == 26
+
+    @staticmethod
+    def _walk(targets, rng) -> np.ndarray:
+        """Steps +-1 from 0 through each target in turn, inside [min, max] of 0 and the targets.
+
+        Each step is toward the next target with probability 3/4, so the walk
+        meets every target exactly, and its extremes as often as they recur.
+        """
+        s, steps, bottom, top = 0, [], min(0, *targets), max(0, *targets)
+        for t in targets:
+            while s != t:
+                step = 1 if t > s else -1
+                if rng.random() >= 0.75 and bottom <= s - step <= top:
+                    step = -step
+                steps.append(step)
+                s += step
+        return np.array(steps, dtype=np.int8)
+
+    # Sums from 0 through these targets, negated for NONNEGATIVE: excursions
+    # of hundreds, wider than a group, that return to their extremes; clean,
+    # touching the claim's boundary 0, or crossing it briefly.
+    TARGETS = [
+        [-150, -30, -150, -5, -260, -40, -260, -120],
+        [-150, 0, -150, -20, -250, 0, -250, -100],
+        [-90, 1, -90, -30, -200, 3, -120],
+    ]
+
+    # A first group whose interval end is its own least sum, -32 after 32
+    # steps down, which the next group's end ties; the earliest X of that
+    # extreme is inside the first group, and the walk then rises out of its
+    # reach.  And the mirror case.
+    EDGES = [
+        [-1] * 32 + [1] * 32 + [1] * 16 + [-1] * 48 + [1] * 128,
+        [1] * 32 + [-1] * 32 + [-1] * 16 + [1] * 48 + [-1] * 128,
+    ]
+
+    @pytest.mark.parametrize("claimed", list(Sign))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_and_carried_extremes(self, claimed, seed, monkeypatch):
+        # against extremes carried in below, at, or beyond the walk's own, each
+        # scan keeps the earliest X of a strictly new extreme, and counts and
+        # traces violations as the X by X walk does
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(partial_sum, "_CHUNK", int(rng.choice([64, 1000, 4096])))
+        real = partial_sum._block_conforms
+        sign = 1 if claimed is Sign.NONPOSITIVE else -1
+        walks = [self._walk([sign * t for t in targets], rng) for targets in self.TARGETS]
+        walks += [np.array(e, dtype=np.int8) for e in self.EDGES]
+        for values in walks:
+            # from 0, and from 300 away on the claimed side: there only the
+            # least and greatest sums seen decide which groups are walked
+            for base in (0, sign * -300):
+                sums = base + np.cumsum(values, dtype=np.int64)
+                low, high = int(sums.min()), int(sums.max())
+                # carried far beyond, only the claim's boundary walks a brief crossing
+                for carried in (None, *((low - d, high + d) for d in (200, 1, 0, -1))):
+                    lo, every = 1000 + int(rng.integers(0, 64)), int(rng.integers(1, 500))
+                    tally = partial_sum._ScanTally()
+                    if carried is not None:  # as if X = 7 and 8 before the block had these sums
+                        tally.min_value, tally.argmin = float(carried[0]), 7
+                        tally.max_value, tally.argmax = float(carried[1]), 8
+                    want = _plain_report(sums, lo, claimed, dataclasses.replace(tally))
+                    out = []
+                    # a traced scan also walks the groups of its rows, the first among them
+                    for conforms, traced in [(real, False), (real, True), (lambda *args: False, True)]:
+                        monkeypatch.setattr(partial_sum, "_block_conforms", conforms)
+                        got, fh = dataclasses.replace(tally), io.StringIO()
+                        trace = partial_sum._Trace(fh, 0.0, every, lo, lo + len(values) - 1) if traced else None
+                        block = LambdaBlock(lo, values)
+                        acc = partial_sum._scan_exact_block(
+                            partial_sum._Walker(0.0), block, float(base), lo, claimed, got, trace
+                        )
+                        assert (acc.n, acc.last, acc.err) == (len(values), sums[-1] - base, 0.0)
+                        assert dataclasses.asdict(got) == {
+                            f: getattr(want, f) for f in dataclasses.asdict(got)
+                        }, (values[:8], base, carried, traced)
+                        out.append(fh.getvalue())
+                    assert out[1] == out[2]
+
+    def test_window_holding_the_polya_crossing(self, tmp_path, monkeypatch):
+        # the sieve's values on [906,100,000, 906,199,999], from the exact sum
+        # before them that puts L(906,150,257) = 1, the first X with L(X) > 0
+        lo, hi, crossing = 906_100_000, 906_199_999, 906_150_257
+        values = sieve_segment(lo, hi).values
+        base = float(1 - int(np.sum(values[: crossing - lo + 1], dtype=np.int64)))
+        sums = base + np.cumsum(values, dtype=np.int64)
+        real = partial_sum._block_conforms
+        for claimed in Sign:
+            want = _plain_report(sums, lo, claimed)
+            if claimed is Sign.NONPOSITIVE:
+                assert want.first_violation == crossing
+            out = []
+            for conforms in (real, lambda *args: False):
+                monkeypatch.setattr(partial_sum, "_block_conforms", conforms)
+                tally, fh = partial_sum._ScanTally(), io.StringIO()
+                trace = partial_sum._Trace(fh, 0.0, 997, lo, hi)
+                partial_sum._scan_exact_block(
+                    partial_sum._Walker(0.0), LambdaBlock(lo, values), base, lo, claimed, tally, trace
+                )
+                assert dataclasses.asdict(tally) == {f: getattr(want, f) for f in dataclasses.asdict(tally)}
+                out.append(fh.getvalue())
+            assert out[0] == out[1]
+
+    def test_clean_scan_walks_few_groups(self, monkeypatch):
+        # the mechanism, counted: a clean alpha = 0 scan of [17, 2e6] walks
+        # fewer than 2% of its 64-integer groups X by X
+        groups, walked = [], []
+        real_chunk, real_walk = partial_sum._scan_exact_chunk, partial_sum._walk_groups
+
+        def chunk(walker, values, *args):
+            groups.append(len(values) // partial_sum._GROUP)
+            return real_chunk(walker, values, *args)
+
+        def walk(grouped, idx, *args):
+            walked.append(len(idx))
+            return real_walk(grouped, idx, *args)
+
+        monkeypatch.setattr(partial_sum, "_scan_exact_chunk", chunk)
+        monkeypatch.setattr(partial_sum, "_walk_groups", walk)
+        rep = scan_sign(17, 2_000_000, 0.0, Sign.NONPOSITIVE)
+        assert rep.ok() and rep.max_value == 0.0
+        assert len(groups) == 31 and sum(groups) > 31_000
+        assert 0 < sum(walked) < 0.02 * sum(groups), (sum(walked), sum(groups))
 
 
 class TestEulerProduct:
