@@ -884,24 +884,6 @@ class _Trace:
 
 
 def _emit_trace_rows(
-    trace: _Trace,
-    xs0: int,
-    values: np.ndarray,
-    errs_at: Callable[[np.ndarray], np.ndarray],
-    violating: np.ndarray,
-    indeterminate: np.ndarray,
-) -> None:
-    """Write the rows of the multiples of every, the range ends and every flagged X.
-
-    Row i is X = xs0 + i; errs_at(rows) gives the per-X bounds at the rows
-    written, and is called once.
-    """
-    rows = np.flatnonzero(trace.mark(xs0, violating | indeterminate))
-    labels = 2 * violating[rows] + indeterminate[rows]
-    _write_trace_rows(trace, xs0 + rows, values[rows], errs_at(rows), labels)
-
-
-def _write_trace_rows(
     trace: _Trace, xs: np.ndarray, values: np.ndarray, errs: np.ndarray, labels: np.ndarray
 ) -> None:
     """Write one row per X of xs, its value and bound with full round-trip precision."""
@@ -960,8 +942,9 @@ def _classify_chunk(
             tally.first_violation = xs0 + first
         tally.violations += n_viol
         tally.indeterminate += int(np.count_nonzero(indeterminate))
-    if trace is not None:
-        _emit_trace_rows(trace, xs0, v, errs_at, violating, indeterminate)
+    if trace is not None:  # the rows of the multiples of every, the range ends and every flagged X
+        rows = np.flatnonzero(trace.mark(xs0, violating | indeterminate))
+        _emit_trace_rows(trace, xs0 + rows, v[rows], errs_at(rows), 2 * violating[rows] + indeterminate[rows])
     return first
 
 
@@ -1063,7 +1046,7 @@ def _scan_exact_chunk(
                 k + rows - ng * _GROUP,
             )
             zeros = np.zeros(len(rows))
-            _write_trace_rows(trace, xs0 + rows, walked[at], zeros, zeros.astype(np.int64))
+            _emit_trace_rows(trace, xs0 + rows, walked[at], zeros, zeros.astype(np.int64))
     else:
         x, v = walker.terms[: n + 1], walker.prefix[: n + 1]
         x[0] = base
