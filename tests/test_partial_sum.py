@@ -1075,10 +1075,15 @@ class TestExactScan:
     # A first group whose interval end is its own least sum, -32 after 32
     # steps down, which the next group's end ties; the earliest X of that
     # extreme is inside the first group, and the walk then rises out of its
-    # reach.  And the mirror case.
+    # reach.  And the mirror case.  Then a second group from -62 that peaks
+    # at 1, the one X violating NONPOSITIVE, and ends at 0: its interval
+    # reaches 1 and no further, so after a carried violation only the
+    # claim's boundary walks it.  And its mirror case.
     EDGES = [
         [-1] * 32 + [1] * 32 + [1] * 16 + [-1] * 48 + [1] * 128,
         [1] * 32 + [-1] * 32 + [-1] * 16 + [1] * 48 + [-1] * 128,
+        [-1] * 63 + [1] * 64 + [-1] * 129,
+        [1] * 63 + [-1] * 64 + [1] * 129,
     ]
 
     @pytest.mark.parametrize("claimed", list(Sign))
